@@ -2,11 +2,25 @@
 
 Elements are finite sums of ordered monomials g_1^{t_1} ... g_N^{t_N}
 where the first n generators are polynomial (exponents in N) and the
-remaining m are invertible (exponents in Z).  Multiplication rewrites
-out-of-order products using the presentation's commutation scalars and
-tail relations; rewriting terminates because every tail lives in the
-subalgebra generated by strictly later generators, and a step budget
-guards against malformed input.
+remaining m are invertible (exponents in Z).
+
+Products come from a table of right products M * g_a, an ordered
+monomial M times one polynomial letter g_a.  When a is at or after the
+last letter b of M the letter appends; otherwise M = M' g_b and the
+relation g_a g_b = u g_b g_a + T_ab gives
+
+    M * g_a = u^-1 (M' * g_a) * g_b - u^-1 M' * T_ab,
+
+with like terms merged after every letter.  A monomial times a monomial
+folds right products over the letters of the right factor, and the
+invertible block moves by commutation scalars alone.  This reduction
+order fixes the leftmost out-of-order pair of a word first, so normal
+forms are the same as those of a word rewriter that does so, including
+on presentations whose relations are not confluent.  The table lives
+for one nf_mul call.  Filling it terminates because every tail lives in
+the subalgebra generated by strictly later generators; a fill budget and
+a check for fills that need their own result turn malformed tails into
+RewriteBudgetError.
 """
 
 from __future__ import annotations
@@ -139,9 +153,6 @@ class NFElement:
         except TypeError:
             return NotImplemented
 
-    def map_coefficients(self, fn):
-        return NFElement(self.pres, {k: fn(c) for k, c in self.terms.items()})
-
     def __eq__(self, other):
         if not isinstance(other, NFElement):
             return NotImplemented
@@ -183,7 +194,7 @@ class NFElement:
                         cs = f"({cs})"
                     body = f"{cs}*{mono}"
             else:
-                body = cs if (cs.startswith("(") is False) else cs
+                body = cs
             if parts:
                 if body.startswith("-"):
                     parts.append(" - " + body[1:])
@@ -197,14 +208,7 @@ class NFElement:
         return f"NFElement({self})"
 
 
-# -- the rewriting engine ----------------------------------------------
-
-
-def _key_to_xword(pres, key):
-    word = []
-    for pos in range(pres.n):
-        word.extend([pos] * key[pos])
-    return tuple(word)
+# -- the multiplication table ----------------------------------------------
 
 
 def _kshift_unit(pres, letter, kvec):
@@ -234,85 +238,197 @@ def _kmerge_unit(pres, left, right):
     return unit
 
 
-def _normalize(pres, items, budget):
-    """Rewrite (coef, xword, kvec) items into PBW form.
+def _last_letter(key, n):
+    """Position of the last polynomial letter of a monomial, or -1."""
+    for pos in range(n - 1, -1, -1):
+        if key[pos]:
+            return pos
+    return -1
 
-    Strategy: repeatedly fix the leftmost adjacent inversion in the
-    polynomial word.  The swap keeps the multidegree; the tail branch
-    strictly lowers the count of the earlier generator, so the process
-    terminates on well-formed presentations.
-    """
+
+def _word(key, n):
+    """The polynomial letters of a monomial in ascending order."""
+    word = []
+    for pos in range(n):
+        word.extend([pos] * key[pos])
+    return word
+
+
+def _accumulate(out, key, coef):
+    """out[key] += coef, dropping the key when the sum cancels."""
+    if key in out:
+        coef = out[key] + coef
+        if coef.is_zero():
+            del out[key]
+            return
+    out[key] = coef
+
+
+def _times_kblock(pres, terms, kvec):
+    """Right product of a term map with the ordered invertible block k^kvec."""
+    n = pres.n
     out = {}
-    stack = list(items)
-    steps = 0
-    zero_k = (0,) * pres.m
-    while stack:
-        coef, word, kvec = stack.pop()
-        spot = None
-        for p in range(len(word) - 1):
-            if word[p] > word[p + 1]:
-                spot = p
-                break
-        if spot is None:
-            key = [0] * (pres.n + pres.m)
-            for letter in word:
-                key[letter] += 1
-            key[pres.n:] = kvec
-            key = tuple(key)
-            if key in out:
-                out[key] = out[key] + coef
-            else:
-                out[key] = coef
-            continue
-        steps += 1
-        if steps > budget:
+    for key, coef in terms.items():
+        unit = _kmerge_unit(pres, key[n:], kvec)
+        if not unit.is_one():
+            coef = coef * unit.as_poly()
+        kpart = tuple(x + y for x, y in zip(key[n:], kvec))
+        _accumulate(out, key[:n] + kpart, coef)
+    return out
+
+
+class _RightTable:
+    """Right products M * g_a for the length of one nf_mul call.
+
+    entries maps (M, a), with M an ordered monomial free of invertible
+    letters, to the normal form of M * g_a as a term map.  Only products
+    that need rewriting are stored; a letter at or after the last letter
+    of M appends.  An entry holds None while it is being filled, so a
+    fill that asks for itself again is caught at once.
+    """
+
+    def __init__(self, pres, budget):
+        self.pres = pres
+        self.budget = budget
+        self.entries = {}
+        self.fills = 0
+        self.zero_k = (0,) * pres.m
+
+    def times_letter(self, terms, a):
+        """Right product of a term map with polynomial letter a.
+
+        The fills a product needs run on an explicit stack, not the
+        Python call stack, so deep monomials cannot overflow it.
+        """
+        stack = [(None, self._times_letter(terms, a))]
+        value = None
+        while True:
+            need, gen = stack[-1]
+            try:
+                request = gen.send(value)
+            except StopIteration as done:
+                stack.pop()
+                if not stack:
+                    return done.value
+                self.entries[need] = value = done.value
+                continue
+            self._start_fill(request)
+            stack.append((request, self._fill(*request)))
+            value = None
+
+    def _start_fill(self, request):
+        """Count a fill and mark its entry as in progress; raise when the
+        budget is spent or the entry is already being filled."""
+        looped = request in self.entries
+        if not looped:
+            self.fills += 1
+            if self.fills <= self.budget:
+                self.entries[request] = None
+                return
+        mono, a = request
+        gens = self.pres.gens
+        pair = f"{gens[_last_letter(mono, self.pres.n)]}*{gens[a]}"
+        if looped:
             raise RewriteBudgetError(
-                f"rewriting exceeded {budget} steps; "
-                "check tail well-formedness or raise the budget"
+                f"rewriting {pair} needs its own result after {self.fills} "
+                "table fills; the tails are not well-founded"
             )
-        b, a = word[spot], word[spot + 1]
+        raise RewriteBudgetError(
+            f"rewriting exceeded {self.budget} table fills at {pair}; "
+            "check tail well-formedness or raise the budget"
+        )
+
+    def _times_letter(self, terms, a):
+        """Generator behind times_letter: yields each (M, a) entry it
+        needs that is not filled yet and receives its term map."""
+        pres, n = self.pres, self.pres.n
+        out = {}
+        for key, coef in terms.items():
+            kvec = key[n:]
+            shifted = any(kvec)
+            if shifted:
+                unit = _kshift_unit(pres, a, kvec)
+                if not unit.is_one():
+                    coef = coef * unit.as_poly()
+            if a >= _last_letter(key, n):
+                _accumulate(out, key[:a] + (key[a] + 1,) + key[a + 1:], coef)
+                continue
+            mono = key[:n] + self.zero_k if shifted else key
+            entry = self.entries.get((mono, a))
+            if entry is None:
+                entry = yield (mono, a)
+            if shifted:
+                entry = _times_kblock(pres, entry, kvec)
+            for ekey, ecoef in entry.items():
+                _accumulate(out, ekey, coef * ecoef)
+        return out
+
+    def _fill(self, mono, a):
+        """Generator for the entry M * g_a, where a comes before the last
+        letter b of M = M' g_b:
+
+            M * g_a = u^-1 (M' * g_a) * g_b - u^-1 M' * T_ab
+
+        from g_a g_b = u g_b g_a + T_ab."""
+        pres = self.pres
+        b = _last_letter(mono, pres.n)
+        prev = mono[:b] + (mono[b] - 1,) + mono[b + 1:]
         u_inv = pres.commutation_unit(a, b).inverse().as_poly()
-        swapped = word[:spot] + (a, b) + word[spot + 2:]
-        base = coef * u_inv
-        stack.append((base, swapped, kvec))
-        tail = pres.tail_terms(a, b)
-        if tail:
-            rest = word[spot + 2:]
-            for t_coef, t_xword, t_kvec in tail:
-                scalar = UnitMonomial.one(pres.params)
-                if t_kvec != zero_k:
-                    for letter in rest:
-                        scalar = scalar * _kshift_unit(pres, letter, t_kvec)
-                    scalar = scalar * _kmerge_unit(pres, t_kvec, kvec)
-                new_coef = -base * t_coef * scalar.as_poly()
-                new_k = tuple(x + y for x, y in zip(t_kvec, kvec))
-                stack.append((new_coef, word[:spot] + t_xword + rest, new_k))
-    return {k: c for k, c in out.items() if not c.is_zero()}
+        swapped = yield from self._times_letter({prev: u_inv}, a)
+        out = yield from self._times_letter(swapped, b)
+        for t_coef, t_word, t_kvec in pres.tail_terms(a, b):
+            part = {prev: -u_inv * t_coef}
+            for letter in t_word:
+                part = yield from self._times_letter(part, letter)
+            if any(t_kvec):
+                part = _times_kblock(pres, part, t_kvec)
+            for key, coef in part.items():
+                _accumulate(out, key, coef)
+        return out
 
 
 def nf_mul(left, right, budget=DEFAULT_BUDGET):
-    """Product of two normal-form elements, again in normal form."""
+    """Product of two normal-form elements, again in normal form.
+
+    Each pair of terms multiplies as monomials.  A pair already in order
+    adds exponent keys.  Otherwise the left monomial is multiplied on the
+    right by the letters of the right one, lowest first, through a table
+    of right products M * g_a (see _RightTable), and the invertible block
+    of the right monomial joins last.  The table is local to this call.
+
+    budget caps the number of table fills; exceeding it, or a fill that
+    needs its own result, raises RewriteBudgetError.
+    """
     if left.pres is not right.pres:
         left._check(right)
     pres = left.pres
-    items = []
     n = pres.n
+    table = _RightTable(pres, budget)
+    rights = [(k2, c2, _word(k2, n), k2[n:]) for k2, c2 in right.terms.items()]
+    out = {}
     for k1, c1 in left.terms.items():
-        w1 = _key_to_xword(pres, k1)
+        last = _last_letter(k1, n)
         s1 = k1[n:]
-        for k2, c2 in right.terms.items():
-            w2 = _key_to_xword(pres, k2)
-            s2 = k2[n:]
-            scalar = UnitMonomial.one(pres.params)
-            if any(s1):
-                for letter in w2:
-                    scalar = scalar * _kshift_unit(pres, letter, s1)
-                scalar = scalar * _kmerge_unit(pres, s1, s2)
+        for k2, c2, w2, s2 in rights:
             coef = c1 * c2
-            if not scalar.is_one():
-                coef = coef * scalar.as_poly()
-            items.append((coef, w1 + w2, tuple(x + y for x, y in zip(s1, s2))))
-    return NFElement(pres, _normalize(pres, items, budget))
+            if not w2 or last <= w2[0]:
+                if any(s1):
+                    scalar = UnitMonomial.one(pres.params)
+                    for letter in w2:
+                        scalar = scalar * _kshift_unit(pres, letter, s1)
+                    scalar = scalar * _kmerge_unit(pres, s1, s2)
+                    if not scalar.is_one():
+                        coef = coef * scalar.as_poly()
+                _accumulate(out, tuple(x + y for x, y in zip(k1, k2)), coef)
+                continue
+            terms = {k1: coef}
+            for a in w2:
+                terms = table.times_letter(terms, a)
+            if any(s2):
+                terms = _times_kblock(pres, terms, s2)
+            for key, c in terms.items():
+                _accumulate(out, key, c)
+    return NFElement(pres, out)
 
 
 # -- skew actions -------------------------------------------------------

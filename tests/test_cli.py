@@ -1,7 +1,13 @@
 """Command line round trips, diagnostics, and exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import qsolv
 from qsolv import (
     LaurentPoly,
     ParseError,
@@ -143,6 +149,19 @@ def test_validate_command(plane_file, capsys):
     assert run_command(["validate", plane_file]) == 0
     out = capsys.readouterr().out
     assert out.splitlines() == ["WF OK", "Q1 OK", "Q2 OK", "Q3 OK"]
+
+
+def test_python_m_qsolv(plane_file):
+    src = str(Path(qsolv.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    done = subprocess.run(
+        [sys.executable, "-m", "qsolv", "validate", plane_file],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert done.returncode == 0
+    assert done.stdout.splitlines() == ["WF OK", "Q1 OK", "Q2 OK", "Q3 OK"]
+    assert done.stderr == ""
 
 
 def test_validate_failure_exit_code(tmp_path, capsys):

@@ -1,0 +1,149 @@
+"""The right-product table behind nf_mul, against the word rewriter.
+
+reference_rewriter.py keeps the word rewriter that nf_mul replaced.  The
+two must give the same normal form term for term, also on
+quantum_matrices(3), whose relations are not confluent.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from qsolv import (
+    LaurentPoly,
+    Presentation,
+    RewriteBudgetError,
+    UnitMonomial,
+    nf_mul,
+    quantum_affine,
+    quantum_matrices,
+    quantum_plane,
+    quantum_weyl,
+    rank2,
+    validate_presentation,
+)
+from reference_rewriter import reference_mul
+
+
+def plane_torus():
+    """Quantum plane with invertible k, l and the tail x*y = q*y*x + k."""
+    params = ("q",)
+
+    def u(e):
+        return UnitMonomial.var(params, "q", e)
+
+    qmat = {(0, 1): u(1), (0, 2): u(1), (1, 2): u(-1),
+            (0, 3): u(2), (1, 3): u(1), (2, 3): u(3)}
+    return Presentation("plane_torus", params, ("x", "y", "k", "l"), 2,
+                        qmat=qmat, tails={(0, 1): {(0, 0, 1, 0): 1}})
+
+
+def _random_element(p, rng, max_terms=3, max_degree=3):
+    width = p.n + p.m
+    out = p.zero()
+    for _ in range(rng.randint(1, max_terms)):
+        key = [0] * width
+        for _ in range(rng.randint(0, max_degree)):
+            key[rng.randrange(width)] += 1
+        for pos in range(p.n, width):
+            key[pos] -= rng.randint(0, 1)
+        coef = LaurentPoly.monomial(
+            p.params,
+            tuple(rng.randint(-1, 1) for _ in p.params),
+            rng.choice([-2, -1, 1, 2, 3]),
+        )
+        out = out + p.monomial(tuple(key), coef)
+    return out
+
+
+def assert_same_normal_form(got, want):
+    assert set(got.terms) == set(want.terms)
+    for key, coef in want.terms.items():
+        assert got.terms[key] == coef, key
+
+
+FAMILIES = [
+    quantum_plane(),
+    quantum_affine(3),
+    quantum_weyl(1),
+    quantum_weyl(2),
+    quantum_matrices(2),
+    quantum_matrices(3),
+    rank2(LaurentPoly.var(("q",), "q") - 3),
+    plane_torus(),
+]
+
+
+@pytest.mark.parametrize("p", FAMILIES, ids=lambda p: p.name)
+def test_random_products_match_word_rewriter(p):
+    rng = random.Random(41)
+    for _ in range(40):
+        a = _random_element(p, rng)
+        b = _random_element(p, rng)
+        assert_same_normal_form(nf_mul(a, b), reference_mul(a, b))
+
+
+def test_invertible_tail_moves_across_later_letters():
+    # the tail k of x*y must pass y and x on its way to the right
+    p = plane_torus()
+    x, y, k = p.gen(0), p.gen(1), p.gen(2)
+    left = nf_mul(nf_mul(y, y), p.gen_power(3, -2))
+    right = nf_mul(nf_mul(x, x), nf_mul(y, k))
+    assert_same_normal_form(nf_mul(left, right), reference_mul(left, right))
+    assert any(key[2] for key in nf_mul(left, right).terms)
+
+
+def test_matrices3_triples_match_word_rewriter():
+    p = quantum_matrices(3)
+    gens = [p.gen(i) for i in range(p.n)]
+    for a, b, c in itertools.product(gens, repeat=3):
+        assert_same_normal_form(nf_mul(nf_mul(a, b), c),
+                                reference_mul(reference_mul(a, b), c))
+        assert_same_normal_form(nf_mul(a, nf_mul(b, c)),
+                                reference_mul(a, reference_mul(b, c)))
+
+
+@pytest.mark.parametrize("k, terms, fills", [(7, 8, 49), (8, 9, 64)])
+def test_weyl_power_fill_counts(k, terms, fills):
+    # x^k * y^k has k+1 terms; the word rewriter needed over 10^6 steps
+    # at k = 8, the table needs one fill per entry it stores
+    w = quantum_weyl(1)
+    y, x = w.gen(0), w.gen(1)
+    product = nf_mul(w.gen_power(1, k), w.gen_power(0, k), budget=fills)
+    assert len(product.terms) == terms
+    assert product == nf_mul(x, nf_mul(w.gen_power(1, k - 1), w.gen_power(0, k)))
+    with pytest.raises(RewriteBudgetError) as err:
+        nf_mul(w.gen_power(1, k), w.gen_power(0, k), budget=fills - 1)
+    message = str(err.value)
+    assert "x*y" in message and str(fills - 1) in message
+
+
+def test_deep_monomial_does_not_recurse():
+    p = quantum_plane()
+    qpow = LaurentPoly.var(p.params, "q", -1500)
+    assert nf_mul(p.gen_power(1, 1500), p.gen(0)) == p.monomial((1, 1500), qpow)
+
+
+def looping_presentation():
+    """Tails a*b = b*a + b*c and a*c = c*a + a^2; the second is not
+    well-founded, since a^2 does not lie after a."""
+    return Presentation(
+        "loop", ("q",), ("a", "b", "c"), 3,
+        tails={(0, 1): {(0, 1, 1): 1}, (0, 2): {(2, 0, 0): 1}},
+    )
+
+
+def test_tails_that_fail_wf_raise_at_once():
+    p = looping_presentation()
+    assert [f.condition for f in validate_presentation(p).findings] == ["WF"]
+    a, bc = p.gen(0), nf_mul(p.gen(1), p.gen(2))
+    # b*c*a -> b*a*c + b*a*a, and b*a*a -> a*b*a + b*c*a: the word recurs,
+    # so the word rewriter runs out of any budget
+    for budget in (10**3, 10**4):
+        with pytest.raises(RewriteBudgetError):
+            reference_mul(bc, a, budget=budget)
+    with pytest.raises(RewriteBudgetError) as err:
+        nf_mul(bc, a)
+    message = str(err.value)
+    assert "c*a" in message and "not well-founded" in message
