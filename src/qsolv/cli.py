@@ -478,10 +478,6 @@ def parse_element(p, text):
 
 # -- canonical printing ------------------------------------------------------
 
-def _frac_str(value):
-    return str(value)
-
-
 def _poly_terms_str(p, terms):
     """Tail payload in the file grammar, deterministically ordered."""
     parts = []
@@ -499,13 +495,13 @@ def _poly_terms_str(p, terms):
             factors = [f for f in factors if f]
             body = "*".join(factors)
             if not body:
-                piece = _frac_str(ratio)
+                piece = str(ratio)
             elif ratio == 1:
                 piece = body
             elif ratio == -1:
                 piece = f"-{body}"
             else:
-                piece = f"{_frac_str(ratio)}*{body}"
+                piece = f"{ratio}*{body}"
             parts.append(piece)
     out = ""
     for piece in parts:
@@ -772,10 +768,11 @@ def _cmd_specialize(args, out, report):
     report.append(("target", repr(target)))
     out.append(f"target: {target!r}")
     if sp.findings.findings:
-        for f in sp.findings.findings:
+        for idx, f in enumerate(sp.findings.findings, 1):
             tag = "note" if f.severity != "error" else "FAIL"
-            out.append(f"{f.condition} {tag}: {f.message} [{f.location}]")
-            report.append((f"finding.{f.condition}", f.message))
+            text = f"{f.message} [{f.location}]"
+            out.append(f"{f.condition} {tag}: {text}")
+            report.append((f"finding.{idx:02d}.{f.condition}", text))
     else:
         out.append("all checks pass at the target")
     report.append(("passed", str(sp.passed).lower()))

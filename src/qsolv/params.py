@@ -492,6 +492,9 @@ def gamma_torsionfree(generators):
     negatives = [t for t, g in enumerate(gens) if g.sign < 0]
     if not negatives:
         return True
+    if not params:
+        # every generator is +-1, so -1 itself lies in the group
+        return False
     rows = [[g.exps[r] for g in gens] for r in range(len(params))]
     for vec in intlinalg.kernel_basis(rows):
         if sum(vec[t] for t in negatives) % 2:

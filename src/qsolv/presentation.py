@@ -283,6 +283,64 @@ class ValidationReport:
         return [f for f in self.findings if f.severity == "error"]
 
 
+def relation_findings(p, value, tails):
+    """WF, Q1 and Q3 findings of the relations with these tails.
+
+    ``value`` maps a unit monomial to what gets compared: the identity
+    for the symbolic checks, evaluation at a target after
+    specialization.  ``tails`` maps a generator pair to the monomial keys
+    of its tail (any mapping keyed by exponent keys).  WF covers tail
+    placement and the forced weight entries; Q1 and Q3 run only when it
+    holds.
+    """
+    findings = []
+    tails = sorted(tails.items())
+    for (i, j), body in tails:
+        for key in sorted(body):
+            bad = [p.gens[g] for g in range(i + 1) if key[g]]
+            if bad:
+                findings.append(Finding(
+                    "WF", f"tail {p.gens[i]} {p.gens[j]}",
+                    f"monomial uses {', '.join(bad)}, not after {p.gens[i]}",
+                ))
+    for i in range(p.n):
+        for j in range(i + 1, len(p.gens)):
+            if value(p.hweight(i, j)) != value(p.commutation_unit(i, j)):
+                findings.append(Finding(
+                    "WF", f"weight {i + 1} {p.gens[j]}",
+                    "weight disagrees with the commutation scalar of the relation",
+                ))
+    if findings:
+        return findings
+
+    for (i, j), body in tails:
+        target = value(p.qskew[i].inverse() * p.hweight(i, j))
+        if any(value(p.key_weight(i, key)) != target for key in body):
+            findings.append(Finding(
+                "Q1", f"tail {p.gens[i]} {p.gens[j]}",
+                "tail is not a tau eigenvector with eigenvalue "
+                f"{p.qskew[i].inverse()}*{p.hweight(i, j)}",
+            ))
+    for h in range(p.n):
+        for (i, j), body in tails:
+            target = value(p.hweight(h, i) * p.hweight(h, j))
+            if any(value(p.key_weight(h, key)) != target for key in body):
+                findings.append(Finding(
+                    "Q3", f"tau {h + 1} on tail {p.gens[i]} {p.gens[j]}",
+                    "relation is not stable under the diagonal action",
+                ))
+    return findings
+
+
+def scalar_units(p):
+    """The units that generate the group Q2 asks about: commutation
+    scalars, skew constants and the weight table."""
+    units = list(p.qmat.values()) + list(p.qskew)
+    for row in p.hweights:
+        units.extend(row)
+    return units
+
+
 def validate_presentation(p):
     """Check the solvable shape and the three symbolic conditions.
 
@@ -291,53 +349,8 @@ def validate_presentation(p):
     eigenvector form, Q2 torsion-freeness of the generated unit group,
     Q3 diagonal stability of every tail.
     """
-    findings = []
-    total = len(p.gens)
-
-    for (i, j), body in sorted(p.tails.items()):
-        where = f"tail {p.gens[i]} {p.gens[j]}"
-        for key in sorted(body):
-            bad = [p.gens[g] for g in range(i + 1) if key[g]]
-            if bad:
-                findings.append(Finding(
-                    "WF", where,
-                    f"monomial uses {', '.join(bad)}, not after {p.gens[i]}",
-                ))
-    for i in range(p.n):
-        for j in range(i + 1, total):
-            if p.hweight(i, j) != p.commutation_unit(i, j):
-                findings.append(Finding(
-                    "WF", f"weight {i + 1} {p.gens[j]}",
-                    "weight disagrees with the commutation scalar of the relation",
-                ))
-
-    if not any(f.condition == "WF" for f in findings):
-        for (i, j), body in sorted(p.tails.items()):
-            where = f"tail {p.gens[i]} {p.gens[j]}"
-            target = p.qskew[i].inverse() * p.hweight(i, j)
-            for key in sorted(body):
-                if p.key_weight(i, key) != target:
-                    findings.append(Finding(
-                        "Q1", where,
-                        "tail is not a tau eigenvector with eigenvalue "
-                        f"{p.qskew[i].inverse()}*{p.hweight(i, j)}",
-                    ))
-                    break
-
-        for h in range(p.n):
-            for (i, j), body in sorted(p.tails.items()):
-                target = p.hweight(h, i) * p.hweight(h, j)
-                for key in sorted(body):
-                    if p.key_weight(h, key) != target:
-                        findings.append(Finding(
-                            "Q3", f"tau {h + 1} on tail {p.gens[i]} {p.gens[j]}",
-                            "relation is not stable under the diagonal action",
-                        ))
-                        break
-
-    units = list(p.qmat.values()) + list(p.qskew)
-    for row in p.hweights:
-        units.extend(row)
+    findings = relation_findings(p, lambda u: u, p.tails)
+    units = scalar_units(p)
     if not gamma_torsionfree(units):
         findings.append(Finding(
             "Q2", "unit group",

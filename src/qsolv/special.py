@@ -12,11 +12,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import intlinalg
 from .errors import SpecializationError
 from .normalform import nf_mul
-from .params import FracElem, LaurentPoly
-from .presentation import Finding, ValidationReport
+from .params import FracElem, LaurentPoly, UnitMonomial, gamma_torsionfree
+from .presentation import (
+    Finding,
+    ValidationReport,
+    relation_findings,
+    scalar_units,
+    validate_presentation,
+)
 from .torus import root_of_unity_structure, torus_of_presentation
 
 MAX_CYCLOTOMIC_ORDER = 64
@@ -351,23 +356,23 @@ def _factor_rational(v):
 
 def rational_torsionfree(values):
     """Whether nonzero rationals generate a torsion-free multiplicative
-    group; the only possible torsion element is -1, so this is a parity
-    condition on the kernel of the prime-exponent matrix."""
+    group.
+
+    Positive rationals always do.  Otherwise each value is a sign times a
+    monomial in its primes, and the parity test of ``gamma_torsionfree``
+    decides.
+    """
     vals = [Fraction(v) for v in values]
     if any(not v for v in vals):
         raise SpecializationError("zero is not a unit")
-    factored = [_factor_rational(v) for v in vals]
-    primes = sorted({p for _, f in factored for p in f})
-    negatives = [t for t, (s, _) in enumerate(factored) if s < 0]
-    if not negatives:
+    if all(v > 0 for v in vals):
         return True
-    rows = [[f.get(p, 0) for _, f in factored] for p in primes]
-    if not rows:
-        rows = [[0] * len(factored)]
-    for vec in intlinalg.kernel_basis(rows):
-        if sum(vec[t] for t in negatives) % 2:
-            return False
-    return True
+    factored = [_factor_rational(v) for v in vals]
+    primes = tuple(sorted({q for _, f in factored for q in f}))
+    return gamma_torsionfree(
+        UnitMonomial(primes, sign, tuple(f.get(q, 0) for q in primes))
+        for sign, f in factored
+    )
 
 
 class SpecializedPresentation:
@@ -399,10 +404,6 @@ class SpecializedPresentation:
         assignment = self.target.assignment(self.base.params)
         return _unit_value(self.base.commutation_unit(a, b), assignment)
 
-    def hweight_value(self, i, g):
-        assignment = self.target.assignment(self.base.params)
-        return _unit_value(self.base.hweight(i, g), assignment)
-
     def __repr__(self):
         state = "passes" if self.findings.passed else "fails"
         return (f"SpecializedPresentation({self.base.name} at {self.target}, "
@@ -418,15 +419,12 @@ def specialize_presentation(p, target):
     of unity the torsion check fails unless all scalars are 1, which is
     the expected root-of-unity dichotomy.
     """
-    from .presentation import validate_presentation
-
     if target.kind == "transcendental":
         report = validate_presentation(p)
         tails = {pair: dict(terms) for pair, terms in p.tails.items()}
         return SpecializedPresentation(p, target, p.qskew, tails, report)
 
     assignment = target.assignment(p.params)
-    findings = []
 
     def unit(u):
         return _unit_value(u, assignment)
@@ -441,48 +439,8 @@ def specialize_presentation(p, target):
         if vals:
             tail_values[(i, j)] = vals
 
-    # weight compatibility of the commutation matrix, at the target;
-    # only entries for later generators are forced
-    for i in range(p.n):
-        for g in range(i + 1, p.n + p.m):
-            if unit(p.hweight(i, g)) != unit(p.commutation_unit(i, g)):
-                findings.append(Finding(
-                    "WF", f"({p.gens[i]}, {p.gens[g]})",
-                    "specialized diagonal weight differs from the "
-                    "commutation scalar",
-                ))
-
-    # Q1 and Q3 termwise on the surviving tail monomials
-    for (i, j), vals in tail_values.items():
-        loc = f"({p.gens[i]}, {p.gens[j]})"
-        target_q1 = unit(p.qskew[i].inverse() * p.hweight(i, j))
-        for key in vals:
-            if unit(p.key_weight(i, key)) != target_q1:
-                findings.append(Finding(
-                    "Q1", loc,
-                    "tail monomial weight breaks the q-skew relation "
-                    "at the specialized values",
-                ))
-                break
-    for h in range(p.n):
-        for (i, j), vals in tail_values.items():
-            loc = f"tau_{p.gens[h]} on ({p.gens[i]}, {p.gens[j]})"
-            target_q3 = unit(p.hweight(h, i) * p.hweight(h, j))
-            for key in vals:
-                if unit(p.key_weight(h, key)) != target_q3:
-                    findings.append(Finding(
-                        "Q3", loc,
-                        "tail monomial is not an eigenvector of the "
-                        "diagonal action at the specialized values",
-                    ))
-                    break
-
-    scalars = [unit(u) for u in p.qmat.values()]
-    scalars.extend(unit(u) for u in p.qskew)
-    for i in range(p.n):
-        scalars.extend(
-            unit(p.hweight(i, g)) for g in range(p.n + p.m)
-        )
+    findings = relation_findings(p, unit, tail_values)
+    scalars = [unit(u) for u in scalar_units(p)]
     if target.kind == "rational":
         torsionfree = rational_torsionfree(scalars)
     else:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import FamilyError, QsolvError
 from .normalform import nf_mul
@@ -227,7 +228,7 @@ def rational_roots(f):
             # clear denominators introduced by a fractional root
             den = 1
             for c in coeffs:
-                den = den * c.denominator // _gcd(den, c.denominator)
+                den = den * c.denominator // gcd(den, c.denominator)
             coeffs = [int(c * den) for c in coeffs]
             roots.append(cand)
             changed = True
@@ -239,12 +240,6 @@ def rational_roots(f):
             {(e,): Fraction(c) for e, c in enumerate(coeffs) if c},
         ).primitive()
     return sorted(roots), residual
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def stratify_rank2(f=0):

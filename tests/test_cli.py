@@ -283,6 +283,41 @@ def test_specialize_command(plane_file, capsys):
     assert "transcendental" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("params", ["", "params q\n"])
+def test_validate_minus_one_without_parameters(tmp_path, capsys, params):
+    # -1 generates torsion whether or not the file declares a parameter
+    path = tmp_path / "minus.alg"
+    path.write_text(f"algebra minus\n{params}gens x poly, y poly\ncommute x y : -1\n")
+    assert run_command(["validate", str(path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith("Q2")] == [
+        "Q2 FAIL: the group generated by the commutation data has 2-torsion [unit group]"
+    ]
+
+
+def test_specialize_report_has_one_key_per_finding(tmp_path, capsys):
+    path = tmp_path / "bad.alg"
+    path.write_text(
+        "algebra B\nparams q\ngens x poly, y poly, z poly\ncommute x y : q\n"
+        "commute x z : q\ncommute y z : q\ntail y z : 1\ntail x y : z^2\n"
+    )
+    report = tmp_path / "report.txt"
+    args = ["specialize", str(path), "--root-of-unity", "6", "--out", str(report)]
+    assert run_command(args) == 1
+    shown = [line for line in capsys.readouterr().out.splitlines()
+             if " FAIL: " in line or " note: " in line]
+    pairs = [line.split(": ", 1) for line in report.read_text().splitlines()]
+    keys = [key for key, _ in pairs if key.startswith("finding.")]
+    assert len(shown) == 9
+    assert len(keys) == len(set(keys)) == len(shown)
+    # numbered in stdout order, each value the message and location
+    findings = sorted((key, value) for key, value in pairs if key.startswith("finding."))
+    for idx, ((key, value), line) in enumerate(zip(findings, shown), 1):
+        cond, _, text = line.partition(" ")
+        assert key == f"finding.{idx:02d}.{cond}"
+        assert value == text.split(": ", 1)[1]
+
+
 def test_specialize_fraction_values(plane_file, capsys):
     assert run_command(["specialize", plane_file, "--param", "q=2/3"]) == 0
     capsys.readouterr()

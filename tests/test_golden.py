@@ -90,6 +90,15 @@ def test_golden_transcript(argv, stdout, status):
     assert run(argv) == (stdout, status)
 
 
+def test_tail_order_does_not_change_output():
+    first = read_golden(DATA / "tails_xy_first.golden")
+    second = read_golden(DATA / "tails_yz_first.golden")
+    assert [entry[1:] for entry in first] == [entry[1:] for entry in second]
+    for argv, _, _ in first:
+        other = [argv[0], "tails_yz_first.alg", *argv[2:]]
+        assert run(argv) == run(other)
+
+
 def regenerate():
     for alg in sorted(DATA.glob("*.alg")):
         text = "\n".join(transcript(argv) for argv in commands(alg))

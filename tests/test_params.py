@@ -112,6 +112,9 @@ def test_unit_monomial_additive_ops_land_in_polys():
         ([UnitMonomial(P, 1, (1,)), UnitMonomial(P, 1, (-1,))], True),
         ([UnitMonomial(P, -1, (1,))], True),
         ([UnitMonomial(P, -1, (1,)), UnitMonomial(P, 1, (1,))], False),
+        # no parameters: the exponent matrix is empty and -1 is torsion
+        ([UnitMonomial((), -1, ())], False),
+        ([UnitMonomial((), 1, ())], True),
     ],
 )
 def test_gamma_torsionfree(units, expected):

@@ -12,12 +12,15 @@ from qsolv import (
     classify_specialization,
     cyclotomic_polynomial,
     is_central_at,
+    quantum_affine,
     quantum_matrices,
     quantum_plane,
     quantum_weyl,
     root_of_unity_witness,
     specialize_presentation,
+    validate_presentation,
 )
+from qsolv import special
 from qsolv.special import MAX_CYCLOTOMIC_ORDER, rational_torsionfree
 
 
@@ -128,10 +131,58 @@ def test_spec_target_rejects_degenerate_values():
         ([F(2), F(3)], True),
         ([F(-2), F(2)], False),
         ([F(-2), F(-3), F(6)], True),
+        ([F(-1), F(1)], False),
+        ([F(1)], True),
     ],
 )
 def test_rational_torsionfree(values, expected):
     assert rational_torsionfree(values) is expected
+
+
+def _refuse_factoring(monkeypatch):
+    def refuse(v):
+        raise AssertionError(f"factored {v}")
+
+    monkeypatch.setattr(special, "_factor_rational", refuse)
+
+
+def test_rational_torsionfree_positive_values_skip_factoring(monkeypatch):
+    # positive rationals generate a torsion-free group: no factoring
+    _refuse_factoring(monkeypatch)
+    assert rational_torsionfree([F(1000000000039), F(2, 3), F(1)]) is True
+    assert rational_torsionfree([]) is True
+    with pytest.raises(AssertionError):
+        rational_torsionfree([F(-2), F(3)])
+
+
+def test_specialize_large_prime_skips_factoring(monkeypatch):
+    _refuse_factoring(monkeypatch)
+    target = SpecTarget.rational({"q": F(1000000000039)})
+    assert specialize_presentation(quantum_plane(), target).passed
+
+
+@pytest.mark.parametrize(
+    "p, target",
+    [
+        (quantum_plane().replace_tail(0, 1, {(1, 0): 1}), SpecTarget.rational({"q": F(2)})),
+        (quantum_plane().replace_tail(0, 1, {(1, 0): 1}), SpecTarget.cyclotomic(6, {"q": 1})),
+        (quantum_weyl(1).replace_tail(0, 1, {(0, 0): 1, (0, 1): 1}),
+         SpecTarget.rational({"c": F(5)})),
+        (quantum_plane().replace_tail(0, 1, {(0, 0): 1}), SpecTarget.rational({"q": F(3)})),
+        (quantum_affine(3).replace_tail(1, 2, {(0, 0, 0): 1})
+         .replace_tail(0, 1, {(0, 0, 2): 1}), SpecTarget.rational({"q": F(2)})),
+    ],
+    ids=["wf-placement", "wf-placement-zeta6", "weyl-q3", "plane-q1", "affine3-two-tails"],
+)
+def test_specialize_reports_validator_findings(p, target):
+    # the targets keep every symbolic failure, so the WF/Q1/Q3 findings
+    # there are the validator's, in its order; a WF failure stops Q1/Q3
+    def relations(findings):
+        return [f for f in findings if f.condition != "Q2"]
+
+    symbolic = relations(validate_presentation(p).findings)
+    assert symbolic
+    assert relations(specialize_presentation(p, target).findings.findings) == symbolic
 
 
 def test_specialize_plane_rational():
