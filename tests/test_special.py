@@ -139,26 +139,18 @@ def test_rational_torsionfree(values, expected):
     assert rational_torsionfree(values) is expected
 
 
-def _refuse_factoring(monkeypatch):
+def test_positive_values_skip_factoring(monkeypatch):
+    # positive rationals generate a torsion-free group: no factoring
     def refuse(v):
         raise AssertionError(f"factored {v}")
 
     monkeypatch.setattr(special, "_factor_rational", refuse)
-
-
-def test_rational_torsionfree_positive_values_skip_factoring(monkeypatch):
-    # positive rationals generate a torsion-free group: no factoring
-    _refuse_factoring(monkeypatch)
     assert rational_torsionfree([F(1000000000039), F(2, 3), F(1)]) is True
     assert rational_torsionfree([]) is True
-    with pytest.raises(AssertionError):
-        rational_torsionfree([F(-2), F(3)])
-
-
-def test_specialize_large_prime_skips_factoring(monkeypatch):
-    _refuse_factoring(monkeypatch)
     target = SpecTarget.rational({"q": F(1000000000039)})
     assert specialize_presentation(quantum_plane(), target).passed
+    with pytest.raises(AssertionError):
+        rational_torsionfree([F(-2), F(3)])
 
 
 @pytest.mark.parametrize(
