@@ -1,4 +1,5 @@
-"""Golden transcripts of `qsolv validate` and `qsolv specialize`.
+"""Golden transcripts of `qsolv validate`, `specialize`, `stratify` and
+`adjoint`.
 
 Each ``tests/data/NAME.alg`` has a ``NAME.golden`` beside it that holds,
 for every command run on the file, the command line, the exact stdout
@@ -26,11 +27,20 @@ from qsolv.cli import parse_presentation, run_command
 DATA = Path(__file__).parent / "data"
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 PROMPT = "$ qsolv "
+# (localized generator, element) of the adjoint runs, by fixture stem
+ADJOINT = {
+    "weyl1": (("y", "x^5"), ("x", "y^3")),
+    "weyl2": (("y1", "x1"),),
+    "matrices2": (("a22", "a11"),),
+    "matrices3": (("a11", "a33"),),
+    "jordan": (("x", "y"),),
+}
 
 
 def commands(path):
     """validate, then specialize at the generic point, at distinct primes,
-    at -1 and at a primitive sixth root of unity."""
+    at -1 and at a primitive sixth root of unity, then stratify and the
+    file's adjoint runs."""
     params = parse_presentation(path.read_text()).params
     # a file without parameters still takes a rational target; the
     # assignment is then unused
@@ -41,6 +51,8 @@ def commands(path):
     if minus:
         cmds.append(["specialize", *minus])
     cmds.append(["specialize", "--root-of-unity", "6"])
+    cmds.append(["stratify"])
+    cmds.extend(["adjoint", *args] for args in ADJOINT.get(path.stem, ()))
     return [[cmd, path.name, *rest] for cmd, *rest in cmds]
 
 
