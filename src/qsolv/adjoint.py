@@ -10,8 +10,7 @@ the eigenvalues.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
+from . import densepoly
 from .errors import AdRootError, LocalizationError, RepeatedRootError
 from .normalform import NFElement, nf_mul
 from .params import FracElem, LaurentPoly, UnitMonomial, as_field_element
@@ -229,28 +228,6 @@ def _root_candidates(p, xidx, coord_maps):
     return ordered
 
 
-def _poly_eval(coeffs, gamma, params):
-    acc = _field(0, params)
-    g = gamma.as_poly()
-    power = _field(1, params)
-    for c in coeffs:
-        acc = acc + c * power
-        power = power * g
-    return acc
-
-
-def _synthetic_divide(coeffs, gamma, params):
-    # coeffs ascending; divide by (t - gamma), remainder known to vanish
-    g = gamma.as_poly()
-    n = len(coeffs) - 1
-    out = [None] * n
-    carry = coeffs[n]
-    for k in range(n - 1, -1, -1):
-        out[k] = carry
-        carry = coeffs[k] + carry * g
-    return out
-
-
 def ad_minimal_polynomial(p, xidx, a, degree_cap=16):
     """Minimal polynomial of the conjugation action on an element.
 
@@ -313,24 +290,16 @@ def ad_minimal_polynomial(p, xidx, a, degree_cap=16):
     ]
 
     candidates = _root_candidates(p, xidx, _coordinates(vectors))
-    roots, mults = [], []
-    work = coeffs
-    for gamma in candidates:
-        while len(work) > 1 and _poly_eval(work, gamma, params).is_zero():
-            work = _synthetic_divide(work, gamma, params)
-            if roots and roots[-1] == gamma:
-                mults[-1] += 1
-            else:
-                roots.append(gamma)
-                mults.append(1)
-        if len(work) == 1:
-            break
-    if len(work) > 1:
+    found, rest = densepoly.peel_roots(coeffs, candidates, UnitMonomial.as_poly)
+    if len(rest) > 1:
         raise AdRootError(
             "minimal polynomial has a root outside the unit-monomial "
-            "candidates; the q-skew hypotheses look violated"
+            "candidates; the q-skew hypotheses look violated "
+            f"({len(candidates)} candidates tried, a factor of degree "
+            f"{len(rest) - 1} is left)"
         )
-    return AdSpectrum(p, xidx, a, coeffs, roots, mults)
+    return AdSpectrum(p, xidx, a, coeffs, [root for root, _ in found],
+                      [mult for _, mult in found])
 
 
 def ad_eigencomponents(p, xidx, a, degree_cap=16):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import densepoly
 from .errors import SpecializationError
 from .normalform import nf_mul
 from .params import FracElem, LaurentPoly, UnitMonomial, gamma_torsionfree
@@ -25,47 +26,6 @@ from .presentation import (
 from .torus import root_of_unity_structure, torus_of_presentation
 
 MAX_CYCLOTOMIC_ORDER = 64
-
-
-# -- exact polynomial helpers over Q (dense, ascending) --------------------
-
-def _ptrim(a):
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _pmul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _ptrim(out)
-
-
-def _psub(a, b):
-    width = max(len(a), len(b))
-    a = a + [Fraction(0)] * (width - len(a))
-    b = b + [Fraction(0)] * (width - len(b))
-    return _ptrim([x - y for x, y in zip(a, b)])
-
-
-def _pdivmod(a, b):
-    rem = [Fraction(v) for v in a]
-    quo = [Fraction(0)] * max(len(rem) - len(b) + 1, 0)
-    lead = b[-1]
-    while len(rem) >= len(b):
-        shift = len(rem) - len(b)
-        factor = rem[-1] / lead
-        quo[shift] = factor
-        for i, c in enumerate(b):
-            rem[shift + i] -= factor * c
-        _ptrim(rem)
-        if not rem:
-            break
-    return _ptrim(quo), rem
 
 
 _CYCLOTOMIC_CACHE = {}
@@ -89,7 +49,7 @@ def cyclotomic_polynomial(N):
     poly = [Fraction(-1)] + [Fraction(0)] * (N - 1) + [Fraction(1)]
     for d in range(1, N):
         if N % d == 0:
-            poly, rem = _pdivmod(poly, list(cyclotomic_polynomial(d)))
+            poly, rem = densepoly.divmod(poly, cyclotomic_polynomial(d))
             assert not rem
     result = tuple(poly)
     _CYCLOTOMIC_CACHE[N] = result
@@ -106,7 +66,7 @@ class CycNumber:
         phi = cyclotomic_polynomial(N)
         dense = [Fraction(v) for v in vec]
         if len(dense) >= len(phi):
-            _, dense = _pdivmod(dense, list(phi))
+            _, dense = densepoly.divmod(dense, phi)
         dense += [Fraction(0)] * (len(phi) - 1 - len(dense))
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "vec", tuple(dense))
@@ -165,7 +125,7 @@ class CycNumber:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CycNumber(self.N, _pmul(list(self.vec), list(other.vec)))
+        return CycNumber(self.N, densepoly.mul(self.vec, other.vec))
 
     __rmul__ = __mul__
 
@@ -174,12 +134,12 @@ class CycNumber:
             raise ZeroDivisionError("inverse of zero")
         # extended Euclid in Q[z] against the cyclotomic modulus, which
         # is irreducible, so the gcd with a nonzero residue is constant
-        r0, r1 = list(cyclotomic_polynomial(self.N)), _ptrim(list(self.vec))
+        r0, r1 = cyclotomic_polynomial(self.N), densepoly.trim(list(self.vec))
         s0, s1 = [], [Fraction(1)]
         while r1:
-            q, r = _pdivmod(r0, r1)
+            q, r = densepoly.divmod(r0, r1)
             r0, r1 = r1, r
-            s0, s1 = s1, _psub(s0, _pmul(q, s1))
+            s0, s1 = s1, densepoly.sub(s0, densepoly.mul(q, s1))
         assert len(r0) == 1
         g = r0[0]
         return CycNumber(self.N, [c / g for c in s0])
@@ -307,23 +267,11 @@ class SpecTarget:
         return "SpecTarget(transcendental)"
 
 
-def _is_zero_value(v):
-    if isinstance(v, CycNumber):
-        return v.is_zero()
-    return not v
-
-
-def _is_one_value(v):
-    if isinstance(v, CycNumber):
-        return v.is_one()
-    return v == 1
-
-
 def _eval_coef(coef, assignment, params):
     if isinstance(coef, FracElem):
         num = coef.num.eval_map(assignment)
         den = coef.den.eval_map(assignment)
-        if _is_zero_value(den):
+        if den == 0:
             raise SpecializationError("coefficient denominator vanishes")
         return num / den
     if isinstance(coef, LaurentPoly):
@@ -333,7 +281,7 @@ def _eval_coef(coef, assignment, params):
 
 def _unit_value(unit, assignment):
     value = unit.as_poly().eval_map(assignment)
-    if _is_zero_value(value):
+    if value == 0:
         raise SpecializationError(f"unit scalar {unit} specializes to zero")
     return value
 
@@ -434,7 +382,7 @@ def specialize_presentation(p, target):
         vals = {}
         for key, coef in terms.items():
             v = _eval_coef(coef, assignment, p.params)
-            if not _is_zero_value(v):
+            if v != 0:
                 vals[key] = v
         if vals:
             tail_values[(i, j)] = vals
@@ -444,7 +392,7 @@ def specialize_presentation(p, target):
     if target.kind == "rational":
         torsionfree = rational_torsionfree(scalars)
     else:
-        torsionfree = all(_is_one_value(v) for v in scalars)
+        torsionfree = all(v == 1 for v in scalars)
     if not torsionfree:
         findings.append(Finding(
             "Q2", "commutation scalars",
@@ -498,7 +446,7 @@ def is_central_at(p, element, target):
                 return False
             continue
         for coef in diff.terms.values():
-            if not _is_zero_value(_eval_coef(coef, assignment, p.params)):
+            if _eval_coef(coef, assignment, p.params) != 0:
                 return False
     return True
 

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import isqrt
 
+from . import densepoly
 from .errors import FamilyError, QsolvError
 from .normalform import nf_mul
 from .params import LaurentPoly
@@ -173,21 +174,11 @@ class Rank2Strata:
         return f"Rank2Strata(u = {self.uNormalForm}; excluded {{{excl}}})"
 
 
-def _int_poly_coeffs(f):
-    """Coefficients c_0..c_d of the primitive integer polynomial sharing
-    f's nonzero roots (the Laurent shift drops them)."""
-    prim = f.primitive()
-    degree = max(e[0] for e in prim.terms)
-    coeffs = [0] * (degree + 1)
-    for exps, coef in prim.terms.items():
-        coeffs[exps[0]] = int(coef)
-    return coeffs
-
-
 def _divisors(n):
+    """Positive divisors of n, ascending; none for n = 0."""
     n = abs(n)
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def rational_roots(f):
@@ -201,45 +192,23 @@ def rational_roots(f):
         return [], None
     if len(f.params) != 1:
         raise ValueError("rational root search needs a single parameter")
-    coeffs = _int_poly_coeffs(f)
-    roots = []
-    changed = True
-    while len(coeffs) > 1 and changed:
-        changed = False
-        candidates = set()
-        for p in _divisors(coeffs[0]):
-            for s in _divisors(coeffs[-1]):
-                candidates.add(Fraction(p, s))
-                candidates.add(Fraction(-p, s))
-        for cand in sorted(candidates):
-            # synthetic evaluation and division by (q - cand)
-            acc = Fraction(0)
-            for c in reversed(coeffs):
-                acc = acc * cand + c
-            if acc:
-                continue
-            quot = []
-            carry = Fraction(0)
-            for c in reversed(coeffs):
-                carry = carry * cand + c
-                quot.append(carry)
-            quot.pop()
-            coeffs = [c for c in reversed(quot)]
-            # clear denominators introduced by a fractional root
-            den = 1
-            for c in coeffs:
-                den = den * c.denominator // gcd(den, c.denominator)
-            coeffs = [int(c * den) for c in coeffs]
-            roots.append(cand)
-            changed = True
-            break
+    # the primitive form divides out the factor q^k, whose only root is 0
+    prim = f.primitive()
+    coeffs = [int(prim.terms.get((e,), 0)) for e in range(max(prim.terms)[0] + 1)]
+    # a root of any factor is a root of f, so one candidate list serves
+    candidates = sorted({
+        Fraction(sign * p, s)
+        for p in _divisors(coeffs[0]) for s in _divisors(coeffs[-1])
+        for sign in (-1, 1)
+    })
+    found, rest = densepoly.peel_roots(coeffs, candidates, Fraction)
+    roots = [root for root, mult in found for _ in range(mult)]
     residual = None
-    if len(coeffs) > 1:
+    if len(rest) > 1:
         residual = LaurentPoly(
-            f.params,
-            {(e,): Fraction(c) for e, c in enumerate(coeffs) if c},
+            f.params, {(e,): c for e, c in enumerate(rest) if c}
         ).primitive()
-    return sorted(roots), residual
+    return roots, residual
 
 
 def stratify_rank2(f=0):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from qsolv import adjoint
 from qsolv import (
     AdRootError,
     FracElem,
@@ -182,6 +183,22 @@ def test_jordan_block_detected():
 def test_degree_cap(weyl):
     with pytest.raises(AdRootError):
         ad_minimal_polynomial(weyl, 0, weyl.gen(1), degree_cap=1)
+
+
+def test_root_outside_candidates_reports_the_search(weyl, monkeypatch):
+    # withhold the eigenvalue c^-1 of conjugation by y on x
+    withheld = UnitMonomial.var(weyl.params, "c", -1)
+    harvest = adjoint._root_candidates
+    tried = []
+
+    def candidates(*args):
+        tried[:] = [u for u in harvest(*args) if u != withheld]
+        return tried
+
+    monkeypatch.setattr(adjoint, "_root_candidates", candidates)
+    with pytest.raises(AdRootError, match="a factor of degree 1 is left") as info:
+        ad_minimal_polynomial(weyl, 0, weyl.gen(1))
+    assert f"({len(tried)} candidates tried," in str(info.value)
 
 
 def test_zero_element_rejected(weyl):

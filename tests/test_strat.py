@@ -17,7 +17,7 @@ from qsolv import (
     stratify_affine,
     stratify_rank2,
 )
-from qsolv.strat import rational_roots
+from qsolv.strat import _divisors, rational_roots
 
 
 def qpoly():
@@ -167,3 +167,17 @@ def test_rank2_weyl_at_one_flag():
     q = qpoly()
     assert stratify_rank2(q - 3).weylAtOne is True
     assert stratify_rank2(q - 1).weylAtOne is False
+
+
+def test_divisors_match_brute_force():
+    assert _divisors(0) == []
+    for n in range(1, 501):
+        expected = [d for d in range(1, n + 1) if n % d == 0]
+        assert _divisors(n) == expected
+        assert _divisors(-n) == expected
+
+
+def test_rational_roots_of_a_large_prime():
+    # the candidates come from divisors found up to the square root
+    p = 10 ** 12 + 39
+    assert rational_roots(qpoly() - p) == ([p], None)
