@@ -2,23 +2,20 @@
 
 from fractions import Fraction as F
 
-from qsolv import FracElem, LaurentPoly, UnitMonomial
-from qsolv import densepoly
+from qsolv import FracElem, LaurentPoly, UnitMonomial, densepoly
 
 
 def test_integer_input_comes_back_exact():
-    quo, rem = densepoly.divmod([1, 2, 3], [2])
-    assert quo == [F(1, 2), F(1), F(3, 2)] and rem == []
-    assert densepoly.divmod([-1, 0, 0, 1], [-1, 1]) == ([1, 1, 1], [])
-    assert densepoly.divmod([5, 0, 1], [1, 1]) == ([-1, 1], [6])
-    assert densepoly.mul([1, 1], [-1, 1]) == [-1, 0, 1]
-    assert densepoly.sub([], [1, 2]) == [-1, -2]
-    assert densepoly.sub([1, 2], [1, 2]) == []
-    results = (
-        quo, *densepoly.divmod([5, 0, 1], [1, 1]),
-        densepoly.mul([1, 1], [-1, 1]), densepoly.sub([3], [1, 2]),
-    )
-    assert all(type(c) is F for poly in results for c in poly)
+    cases = [
+        (densepoly.divmod([1, 2, 3], [2]), ([F(1, 2), 1, F(3, 2)], [])),
+        (densepoly.divmod([-1, 0, 0, 1], [-1, 1]), ([1, 1, 1], [])),
+        (densepoly.divmod([5, 0, 1], [1, 1]), ([-1, 1], [6])),
+        ((densepoly.mul([1, 1], [-1, 1]),), ([-1, 0, 1],)),
+        ((densepoly.sub([], [1, 2]), densepoly.sub([1, 2], [1, 2])), ([-1, -2], [])),
+    ]
+    for got, expected in cases:
+        assert got == expected
+        assert all(type(c) is F for poly in got for c in poly)
 
 
 def test_generic_over_frac_elem():

@@ -5,8 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qsolv import LaurentPoly, cyclotomic_polynomial
-from qsolv import densepoly
+from qsolv import LaurentPoly, cyclotomic_polynomial, densepoly
 from qsolv.strat import rational_roots
 
 sympy = pytest.importorskip("sympy")
@@ -17,6 +16,14 @@ def to_sympy(coeffs):
     """Ascending Fraction coefficients as a sympy polynomial over QQ."""
     terms = [sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)]
     return sympy.Poly(terms or [0], z, domain=sympy.QQ)
+
+
+def dense(f):
+    """Ascending coefficients of a Laurent polynomial without negative powers."""
+    coeffs = [Fraction(0)] * (max(f.terms)[0] + 1)
+    for (e,), c in f.terms.items():
+        coeffs[e] = c
+    return coeffs
 
 
 def from_sympy(poly):
@@ -54,10 +61,7 @@ def test_rational_roots_match_sympy_factorization():
             num, den = rng.choice([-1, 1]) * rng.randint(1, 12), rng.randint(1, 4)
             f = f * (den * q - num) ** rng.randint(1, 3)
         f = f * rng.choice(irreducible)
-        coeffs = [Fraction(0)] * (max(f.terms)[0] + 1)
-        for (e,), c in f.terms.items():
-            coeffs[e] = c
-        _, factors = sympy.factor_list(to_sympy(coeffs))
+        _, factors = sympy.factor_list(to_sympy(dense(f)))
         expected, cofactor = [], sympy.Poly(1, z, domain=sympy.QQ)
         for factor, mult in factors:
             if factor.degree() == 1:
@@ -69,9 +73,6 @@ def test_rational_roots_match_sympy_factorization():
         roots, residual = rational_roots(f)
         assert roots == sorted(expected)
         assert residual is not None
-        res = [Fraction(0)] * (max(residual.terms)[0] + 1)
-        for (e,), c in residual.terms.items():
-            res[e] = c
         # equal up to content: the quotient is a nonzero constant
-        quo, rem = sympy.div(to_sympy(res), cofactor)
+        quo, rem = sympy.div(to_sympy(dense(residual)), cofactor)
         assert rem.is_zero and quo.degree() == 0 and not quo.is_zero
