@@ -2,13 +2,18 @@
 `adjoint`.
 
 Each ``tests/data/NAME.alg`` has a ``NAME.golden`` beside it that holds,
-for every command run on the file, the command line, the exact stdout
+for every command run on the file, the command line, the exact stdout,
+the stderr of a run that exits nonzero (each line behind ``stderr: ``)
 and the exit code:
 
     $ qsolv specialize NAME.alg --param q=2
     target: SpecTarget(rational: q=2)
     all checks pass at the target
     exit 0
+
+    $ qsolv stratify NAME.alg
+    stderr: unsupported: ...
+    exit 3
 
 After a deliberate output change, rewrite the transcripts with
 ``PYTHONPATH=src python tests/test_golden.py`` and review their diff.
@@ -17,7 +22,7 @@ After a deliberate output change, rewrite the transcripts with
 import io
 import shlex
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -27,6 +32,7 @@ from qsolv.cli import parse_presentation, run_command
 DATA = Path(__file__).parent / "data"
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 PROMPT = "$ qsolv "
+STDERR = "stderr: "
 # (localized generator, element) of the adjoint runs, by fixture stem
 ADJOINT = {
     "weyl1": (("y", "x^5"), ("x", "y^3")),
@@ -57,35 +63,42 @@ def commands(path):
 
 
 def run(argv):
-    """(stdout, exit code) of one in-process qsolv call on a data file."""
+    """(stdout, stderr, exit code) of one in-process qsolv call on a data
+    file; stderr is kept only when the exit code is nonzero."""
     cmd, name, *rest = argv
-    buf = io.StringIO()
-    with redirect_stdout(buf):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
         status = run_command([cmd, str(DATA / name), *rest])
-    return buf.getvalue(), status
+    return out.getvalue(), err.getvalue() if status else "", status
 
 
 def transcript(argv):
-    out, status = run(argv)
-    return f"{PROMPT}{shlex.join(argv)}\n{out}exit {status}\n"
+    out, err, status = run(argv)
+    err = "".join(STDERR + line for line in err.splitlines(keepends=True))
+    return f"{PROMPT}{shlex.join(argv)}\n{out}{err}exit {status}\n"
 
 
 def read_golden(path):
-    """[(argv, stdout, exit code)] in file order."""
+    """[(argv, stdout, stderr, exit code)] in file order."""
     entries = []
     for block in path.read_text().split(PROMPT)[1:]:
         head, _, body = block.partition("\n")
         lines = body.rstrip("\n").split("\n")
         assert lines[-1].startswith("exit "), f"{path.name}: {head}"
-        stdout = "".join(line + "\n" for line in lines[:-1])
-        entries.append((shlex.split(head), stdout, int(lines[-1][5:])))
+        lines, status = lines[:-1], int(lines[-1][5:])
+        cut = len(lines)
+        while status and cut and lines[cut - 1].startswith(STDERR):
+            cut -= 1
+        stdout = "".join(line + "\n" for line in lines[:cut])
+        stderr = "".join(line[len(STDERR):] + "\n" for line in lines[cut:])
+        entries.append((shlex.split(head), stdout, stderr, status))
     return entries
 
 
 CASES = [
-    pytest.param(argv, stdout, status, id=shlex.join(argv))
+    pytest.param(argv, stdout, stderr, status, id=shlex.join(argv))
     for golden in sorted(DATA.glob("*.golden"))
-    for argv, stdout, status in read_golden(golden)
+    for argv, stdout, stderr, status in read_golden(golden)
 ]
 
 
@@ -93,20 +106,20 @@ def test_every_fixture_has_a_transcript():
     stems = {p.stem for p in DATA.glob("*.alg")}
     assert stems and stems == {p.stem for p in DATA.glob("*.golden")}
     for alg in DATA.glob("*.alg"):
-        recorded = [argv for argv, _, _ in read_golden(alg.with_suffix(".golden"))]
+        recorded = [entry[0] for entry in read_golden(alg.with_suffix(".golden"))]
         assert recorded == commands(alg)
 
 
-@pytest.mark.parametrize("argv, stdout, status", CASES)
-def test_golden_transcript(argv, stdout, status):
-    assert run(argv) == (stdout, status)
+@pytest.mark.parametrize("argv, stdout, stderr, status", CASES)
+def test_golden_transcript(argv, stdout, stderr, status):
+    assert run(argv) == (stdout, stderr, status)
 
 
 def test_tail_order_does_not_change_output():
     first = read_golden(DATA / "tails_xy_first.golden")
     second = read_golden(DATA / "tails_yz_first.golden")
     assert [entry[1:] for entry in first] == [entry[1:] for entry in second]
-    for argv, _, _ in first:
+    for argv, *_ in first:
         other = [argv[0], "tails_yz_first.alg", *argv[2:]]
         assert run(argv) == run(other)
 
