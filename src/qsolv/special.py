@@ -11,6 +11,7 @@ unity, where the finiteness-over-center witnesses take over.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from . import densepoly
 from .errors import SpecializationError
@@ -199,13 +200,14 @@ class SpecTarget:
     """Where the parameters go: exact rationals, a cyclotomic field, or
     nowhere (transcendental mode keeps them symbolic)."""
 
-    __slots__ = ("kind", "values", "order", "exponents")
+    __slots__ = ("kind", "values", "order", "exponents", "_roots")
 
     def __init__(self, kind, values=None, order=None, exponents=None):
         self.kind = kind
         self.values = values
         self.order = order
         self.exponents = exponents
+        self._roots = {}  # (sign, k) -> sign * zeta^k
 
     @classmethod
     def rational(cls, values):
@@ -255,6 +257,33 @@ class SpecTarget:
             p: CycNumber.zeta(self.order, self.exponents[p]) for p in params
         }
 
+    def unit_value(self, unit):
+        """Value of the unit monomial +-prod p^a at the target; the unit
+        itself in symbolic mode.
+
+        At zeta_N the value is +-zeta^k with k = sum a_p*e_p mod N, and for
+        even N the sign folds into k, as -1 = zeta^(N/2).  Those values
+        are memoized, so no power of zeta is ever multiplied out.
+        """
+        if self.kind == "transcendental":
+            return unit
+        if self.kind == "rational":
+            value = Fraction(unit.sign)
+            for name, a in zip(unit.params, unit.exps):
+                if a:
+                    value *= self.values[name] ** a
+            return value
+        N, sign = self.order, unit.sign
+        k = sum(a * self.exponents[name] for name, a in zip(unit.params, unit.exps))
+        if sign < 0 and N % 2 == 0:
+            k, sign = k + N // 2, 1
+        key = (sign, k % N)
+        value = self._roots.get(key)
+        if value is None:
+            value = CycNumber.zeta(N, key[1])
+            value = self._roots[key] = value if sign > 0 else -value
+        return value
+
     def __repr__(self):
         if self.kind == "rational":
             body = ", ".join(f"{k}={v}" for k, v in sorted(self.values.items()))
@@ -279,27 +308,38 @@ def _eval_coef(coef, assignment, params):
     return Fraction(coef)
 
 
-def _unit_value(unit, assignment):
-    value = unit.as_poly().eval_map(assignment)
-    if value == 0:
-        raise SpecializationError(f"unit scalar {unit} specializes to zero")
-    return value
+def _coprime_base(numbers):
+    """A pairwise coprime set of integers > 1 that writes every given
+    positive integer as a product of its powers.
+
+    Factor refinement (Bach, Driscoll and Shallit): a number sharing a
+    factor g > 1 with a base element b is replaced, together with b, by
+    g, a/g and b/g.  Each split lowers the total number of bits, so the
+    cost is polynomial in bits and no number is factored into primes.
+    """
+    base = set()
+    todo = [n for n in numbers if n > 1]
+    while todo:
+        a = todo.pop()
+        if a == 1 or a in base:
+            continue
+        for b in base:
+            g = gcd(a, b)
+            if g > 1:
+                base.remove(b)
+                todo.extend((g, a // g, b // g))
+                break
+        else:
+            base.add(a)
+    return tuple(sorted(base))
 
 
-def _factor_rational(v):
-    """(sign, {prime: exponent}) of a nonzero rational."""
-    sign = 1 if v > 0 else -1
-    out = {}
-    for part, s in ((abs(v.numerator), 1), (v.denominator, -1)):
-        d = 2
-        while d * d <= part:
-            while part % d == 0:
-                out[d] = out.get(d, 0) + s
-                part //= d
-            d += 1
-        if part > 1:
-            out[part] = out.get(part, 0) + s
-    return sign, out
+def _valuation(n, b):
+    e = 0
+    while n % b == 0:
+        n //= b
+        e += 1
+    return e
 
 
 def rational_torsionfree(values):
@@ -307,19 +347,25 @@ def rational_torsionfree(values):
     group.
 
     Positive rationals always do.  Otherwise each value is a sign times a
-    monomial in its primes, and the parity test of ``gamma_torsionfree``
-    decides.
+    monomial in a coprime base of its numerators and denominators, and
+    the parity test of ``gamma_torsionfree`` decides.  Every prime
+    divides exactly one base element, so the integer kernel, and with it
+    the verdict, is the one of the prime factorizations.
     """
     vals = [Fraction(v) for v in values]
     if any(not v for v in vals):
         raise SpecializationError("zero is not a unit")
     if all(v > 0 for v in vals):
         return True
-    factored = [_factor_rational(v) for v in vals]
-    primes = tuple(sorted({q for _, f in factored for q in f}))
+    base = _coprime_base(
+        [abs(v.numerator) for v in vals] + [v.denominator for v in vals]
+    )
     return gamma_torsionfree(
-        UnitMonomial(primes, sign, tuple(f.get(q, 0) for q in primes))
-        for sign, f in factored
+        UnitMonomial(base, 1 if v > 0 else -1, tuple(
+            _valuation(abs(v.numerator), b) - _valuation(v.denominator, b)
+            for b in base
+        ))
+        for v in vals
     )
 
 
@@ -349,8 +395,7 @@ class SpecializedPresentation:
         return self.findings.passed
 
     def commutation_value(self, a, b):
-        assignment = self.target.assignment(self.base.params)
-        return _unit_value(self.base.commutation_unit(a, b), assignment)
+        return self.target.unit_value(self.base.commutation_unit(a, b))
 
     def __repr__(self):
         state = "passes" if self.findings.passed else "fails"
@@ -373,10 +418,7 @@ def specialize_presentation(p, target):
         return SpecializedPresentation(p, target, p.qskew, tails, report)
 
     assignment = target.assignment(p.params)
-
-    def unit(u):
-        return _unit_value(u, assignment)
-
+    unit = target.unit_value
     tail_values = {}
     for (i, j), terms in p.tails.items():
         vals = {}

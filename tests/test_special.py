@@ -1,14 +1,21 @@
 """Evaluating presentations at numeric and root-of-unity parameter values."""
 
+import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
+import reference_conditions
+
 from qsolv import (
     CycNumber,
     LaurentPoly,
+    Presentation,
     SpecTarget,
     SpecializationError,
+    UnitMonomial,
     classify_specialization,
     cyclotomic_polynomial,
     is_central_at,
@@ -110,6 +117,40 @@ def test_spec_target_construction():
     assert SpecTarget.transcendental().assignment(("q",)) is None
 
 
+def _random_unit(rng, params):
+    return UnitMonomial(params, rng.choice((1, -1)),
+                        tuple(rng.randint(-9, 9) for _ in params))
+
+
+def test_unit_value_at_roots_of_unity_matches_evaluation():
+    rng = random.Random(61)
+    names = ("q", "r", "s")
+    for N in range(1, MAX_CYCLOTOMIC_ORDER + 1):
+        for width in (1, 2, 3):
+            params = names[:width]
+            target = SpecTarget.cyclotomic(N, {n: rng.randrange(N) for n in params})
+            assignment = target.assignment(params)
+            for sign in (1, -1):
+                unit = _random_unit(rng, params)
+                unit = unit if unit.sign == sign else -unit
+                assert target.unit_value(unit) == unit.as_poly().eval_map(assignment)
+            # memoized: equal units give the very same value
+            assert target.unit_value(unit) is target.unit_value(unit)
+
+
+def test_unit_value_at_rational_and_generic_targets():
+    rng = random.Random(3)
+    params = ("q", "r")
+    target = SpecTarget.rational({"q": F(-3, 4), "r": F(5)})
+    for _ in range(50):
+        unit = _random_unit(rng, params)
+        assert target.unit_value(unit) == reference_conditions.unit_value(unit, target)
+    unit = _random_unit(rng, params)
+    assert SpecTarget.transcendental().unit_value(unit) is unit
+    sp = specialize_presentation(quantum_plane(), SpecTarget.transcendental())
+    assert sp.commutation_value(0, 1) == UnitMonomial.var(("q",), "q")
+
+
 def test_spec_target_rejects_degenerate_values():
     with pytest.raises(SpecializationError):
         SpecTarget.rational({"q": F(0)})
@@ -140,17 +181,97 @@ def test_rational_torsionfree(values, expected):
 
 
 def test_positive_values_skip_factoring(monkeypatch):
-    # positive rationals generate a torsion-free group: no factoring
-    def refuse(v):
-        raise AssertionError(f"factored {v}")
+    # positive rationals generate a torsion-free group: no coprime base
+    def refuse(numbers):
+        raise AssertionError(f"refined {numbers}")
 
-    monkeypatch.setattr(special, "_factor_rational", refuse)
+    monkeypatch.setattr(special, "_coprime_base", refuse)
     assert rational_torsionfree([F(1000000000039), F(2, 3), F(1)]) is True
     assert rational_torsionfree([]) is True
     target = SpecTarget.rational({"q": F(1000000000039)})
     assert specialize_presentation(quantum_plane(), target).passed
     with pytest.raises(AssertionError):
         rational_torsionfree([F(-2), F(3)])
+
+
+def _random_rational(rng):
+    # shared factors (6, 10, 15), perfect powers and +-1 are all common
+    pool = (2, 3, 5, 6, 7, 10, 12, 15, 4, 8, 9, 27, 49, 30, 11, 121, 1001)
+    if rng.random() < 0.15:
+        return F(rng.choice((1, -1)))
+
+    def part():
+        out = 1
+        for _ in range(rng.randint(0, 3)):
+            out *= rng.choice(pool) ** rng.randint(1, 3)
+        return out
+
+    return F(rng.choice((1, -1)) * part(), part())
+
+
+def test_rational_torsionfree_matches_trial_division():
+    rng = random.Random(20260518)
+    verdicts = set()
+    for _ in range(300):
+        values = [_random_rational(rng) for _ in range(rng.randint(1, 5))]
+        if all(v > 0 for v in values):
+            values[0] = -values[0]
+        expected = reference_conditions.rational_torsionfree(values)
+        assert rational_torsionfree(values) is expected, values
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def test_coprime_base():
+    assert special._coprime_base([12, 18, 1, 35]) == (2, 3, 35)
+    assert special._coprime_base([6, 10, 15]) == (2, 3, 5)
+    assert special._coprime_base([]) == ()
+    rng = random.Random(7)
+    for _ in range(100):
+        numbers = [rng.randint(1, 10 ** 6) for _ in range(rng.randint(1, 6))]
+        base = special._coprime_base(numbers)
+        assert all(math.gcd(a, b) == 1 for a, b in itertools.combinations(base, 2))
+        for n in numbers:
+            for b in base:
+                n //= b ** special._valuation(n, b)
+            assert n == 1
+
+
+BIG = 10 ** 18 + 3  # prime
+P1, P2 = 10 ** 9 + 7, 10 ** 9 + 9  # primes
+
+
+@pytest.mark.parametrize(
+    "values, expected",
+    [
+        ([F(-BIG)], True),
+        ([F(-BIG), F(BIG)], False),
+        ([F(-BIG), F(1, BIG)], False),
+        ([F(-P1 * P2), F(P1)], True),
+        ([F(-P1 * P2), F(P1), F(P2)], False),
+        ([F(-P1 * P2), F(P1 ** 2 * P2, 3)], True),
+        ([F(-(P1 * P2) ** 3), F(P1 * P2, 1) ** 2], True),
+        ([F(-(P1 * P2) ** 3), F(P1 * P2)], False),
+    ],
+)
+def test_rational_torsionfree_large_values(values, expected):
+    # trial division would need about 10^9 divisions for each of these
+    assert rational_torsionfree(values) is expected
+
+
+@pytest.mark.parametrize("q", [BIG, -BIG, -P1 * P2])
+def test_specialize_at_large_values(q):
+    plane = specialize_presentation(quantum_plane(), SpecTarget.rational({"q": F(q)}))
+    assert plane.passed
+    weyl = specialize_presentation(quantum_weyl(1), SpecTarget.rational({"c": F(q)}))
+    assert weyl.passed
+    # two parameters at q and -q put -1 into the group
+    two = Presentation("two", ("q", "r"), ("x", "y", "z"), 3, qmat={
+        (0, 1): UnitMonomial.var(("q", "r"), "q"),
+        (0, 2): UnitMonomial.var(("q", "r"), "r"),
+    })
+    sp = specialize_presentation(two, SpecTarget.rational({"q": F(q), "r": F(-q)}))
+    assert [f.condition for f in sp.findings.findings] == ["Q2"]
 
 
 @pytest.mark.parametrize(
