@@ -17,12 +17,7 @@ from fractions import Fraction
 
 from .errors import FamilyError, PresentationError
 from .normalform import NFElement
-from .params import (
-    LaurentPoly,
-    UnitMonomial,
-    gamma_torsionfree,
-    unit_product,
-)
+from .params import LaurentPoly, UnitMonomial, gamma_torsionfree
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -181,10 +176,24 @@ class Presentation:
 
     def key_weight(self, i, key):
         """Eigenvalue of tau_i on the PBW monomial with this exponent key."""
-        return unit_product(
-            [(self.hweights[i][g], e) for g, e in enumerate(key) if e],
-            params=self.params,
-        )
+        return self.sparse_weight(i, [(g, e) for g, e in enumerate(key) if e])
+
+    def sparse_weight(self, i, terms):
+        """Eigenvalue of tau_i on the exponent vector given by its nonzero
+        (generator, exponent) entries; exponents may be negative.
+
+        The exponent rows of the weight table are summed with those
+        multiplicities, and the signs of odd entries multiplied.
+        """
+        row = self.hweights[i]
+        sign, cols = 1, []
+        for g, e in terms:
+            u = row[g]
+            if u.sign < 0 and e % 2:
+                sign = -sign
+            cols.append(u.exps if e == 1 else map(e.__mul__, u.exps))
+        exps = tuple(map(sum, zip(*cols))) if cols else (0,) * len(self.params)
+        return UnitMonomial(self.params, sign, exps)
 
     # -- element constructors ---------------------------------------------
 
@@ -288,7 +297,9 @@ def relation_findings(p, value, tails):
 
     ``value`` maps a unit monomial to what gets compared: the identity
     for the symbolic checks, evaluation at a target after
-    specialization.  ``tails`` maps a generator pair to the monomial keys
+    specialization.  It must be multiplicative, as both are, since each
+    check compares the value of a quotient of units with value(1).
+    ``tails`` maps a generator pair to the monomial keys
     of its tail (any mapping keyed by exponent keys).  WF covers tail
     placement and the forced weight entries; Q1 and Q3 run only when it
     holds.
@@ -313,23 +324,78 @@ def relation_findings(p, value, tails):
     if findings:
         return findings
 
-    for (i, j), body in tails:
-        target = value(p.qskew[i].inverse() * p.hweight(i, j))
-        if any(value(p.key_weight(i, key)) != target for key in body):
+    # tau_h multiplies the relation x_i x_j = u x_j x_i + tail by
+    # w_h(e_i + e_j), so each tail key K is tested through its weight
+    # difference D = K - e_i - e_j: Q3 asks w_h(D) = 1 for every h, and Q1
+    # asks w_i(K) = qskew_i^-1 w_i(e_j), that is w_i(D) = (qskew_i w_i(e_i))^-1.
+    # A D whose weights are all 1 takes value(1) without a unit being built.
+    def difference(key, i, j):
+        d = list(key)
+        d[i] -= 1
+        d[j] -= 1
+        return tuple((g, e) for g, e in enumerate(d) if e)
+
+    diffs = {(i, j): [difference(key, i, j) for key in body] for (i, j), body in tails}
+    trivial = _trivial_weights(p, {d for ds in diffs.values() for d in ds})
+    one = value(UnitMonomial.one(p.params))
+
+    def differs(h, pair, target):
+        return any(
+            (one if trivial[d] else value(p.sparse_weight(h, d))) != target
+            for d in diffs[pair]
+        )
+
+    for (i, j), _ in tails:
+        if differs(i, (i, j), value((p.qskew[i] * p.hweight(i, i)).inverse())):
             findings.append(Finding(
                 "Q1", f"tail {p.gens[i]} {p.gens[j]}",
                 "tail is not a tau eigenvector with eigenvalue "
                 f"{p.qskew[i].inverse()}*{p.hweight(i, j)}",
             ))
+    # a pair whose differences all have weight 1 passes Q3 for every h
+    moving = [pair for pair, ds in diffs.items() if not all(map(trivial.get, ds))]
     for h in range(p.n):
-        for (i, j), body in tails:
-            target = value(p.hweight(h, i) * p.hweight(h, j))
-            if any(value(p.key_weight(h, key)) != target for key in body):
+        for i, j in moving:
+            if differs(h, (i, j), one):
                 findings.append(Finding(
                     "Q3", f"tau {h + 1} on tail {p.gens[i]} {p.gens[j]}",
                     "relation is not stable under the diagonal action",
                 ))
     return findings
+
+
+def _trivial_weights(p, vectors):
+    """Whether tau_1..tau_n all have eigenvalue 1 on each sparse exponent
+    vector, a tuple of (generator, exponent) pairs.
+
+    Column g of the weight table, the exponent vectors of tau_1..tau_n on
+    x_g end to end, is packed into one integer (Monagan and Pearce's
+    packed exponent vectors).  The digits are wide enough for every sum
+    formed here, so a combination of columns is zero exactly when all of
+    its digits are, and the test costs a few big-integer operations.
+    """
+    entries = {
+        g: [(h, ell, e) for h, row in enumerate(p.hweights)
+            for ell, e in enumerate(row[g].exps) if e]
+        for g in {g for d in vectors for g, _ in d}
+    }
+    width = 1 + (
+        max((abs(e) for es in entries.values() for *_, e in es), default=0)
+        * max((sum(abs(e) for _, e in d) for d in vectors), default=0)
+    ).bit_length()
+    shift = width * len(p.params)
+    cols = {g: sum(e << (h * shift + width * ell) for h, ell, e in es)
+            for g, es in entries.items()}
+    signs = {g: sum(1 << h for h, row in enumerate(p.hweights) if row[g].sign < 0)
+             for g in entries}
+    out = {}
+    for d in vectors:
+        mask = 0
+        for g, e in d:
+            if e % 2:
+                mask ^= signs[g]
+        out[d] = not mask and not sum(e * cols[g] for g, e in d)
+    return out
 
 
 def scalar_units(p):
