@@ -18,7 +18,7 @@ from .params import UnitMonomial
 class TorusPresentation:
     """Commutation data p_ij (i < j) for Laurent generators Y_1..Y_n."""
 
-    __slots__ = ("rank", "params", "pmat")
+    __slots__ = ("rank", "params", "pmat", "_pairs", "_one")
 
     def __init__(self, rank, params, pmat):
         if rank < 0:
@@ -37,17 +37,18 @@ class TorusPresentation:
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "pmat", clean)
+        # both orientations, so that no lookup builds an inverse
+        pairs = dict(clean)
+        pairs.update(((j, i), unit.inverse()) for (i, j), unit in clean.items())
+        object.__setattr__(self, "_pairs", pairs)
+        object.__setattr__(self, "_one", UnitMonomial.one(params))
 
     def __setattr__(self, name, value):
         raise AttributeError("TorusPresentation is immutable")
 
     def pairing(self, i, j):
         """The scalar p_ij with Y_i Y_j = p_ij Y_j Y_i, any index order."""
-        if i == j:
-            return UnitMonomial.one(self.params)
-        if i < j:
-            return self.pmat.get((i, j), UnitMonomial.one(self.params))
-        return self.pmat.get((j, i), UnitMonomial.one(self.params)).inverse()
+        return self._pairs.get((i, j), self._one)
 
     def __eq__(self, other):
         if not isinstance(other, TorusPresentation):

@@ -58,6 +58,23 @@ def test_pairing_antisymmetry():
     assert P.pairing(0, 0).is_one()
 
 
+def test_pairing_orientations_are_inverse():
+    rng = random.Random(5)
+    params = ("q", "r")
+    pmat = {}
+    for i in range(5):
+        for j in range(i + 1, 5):
+            if rng.random() < 0.8:
+                pmat[(i, j)] = UnitMonomial(params, rng.choice((1, -1)),
+                                            (rng.randint(-3, 3), rng.randint(-3, 3)))
+    P = TorusPresentation(5, params, pmat)
+    for i in range(5):
+        for j in range(5):
+            assert (P.pairing(i, j) * P.pairing(j, i)).is_one()
+            if i < j:
+                assert P.pairing(i, j) == pmat.get((i, j), UnitMonomial.one(params))
+
+
 def test_normal_scalar_values():
     P = rank2_torus()
     assert torus_normal_scalar(P, (0, 1), (1, 0)) == qu(-1)
