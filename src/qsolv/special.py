@@ -312,10 +312,11 @@ def _coprime_base(numbers):
     """A pairwise coprime set of integers > 1 that writes every given
     positive integer as a product of its powers.
 
-    Factor refinement (Bach, Driscoll and Shallit): a number sharing a
+    Factor refinement (Bach, Driscoll and Shallit): a number a sharing a
     factor g > 1 with a base element b is replaced, together with b, by
-    g, a/g and b/g.  Each split lowers the total number of bits, so the
-    cost is polynomial in bits and no number is factored into primes.
+    g, a/g and b/g.  Each split divides the product of all pending
+    numbers by g, so there are fewer splits than bits in the input, and
+    no number is factored into primes.
     """
     base = set()
     todo = [n for n in numbers if n > 1]

@@ -49,7 +49,11 @@ def _perturb_weights(rng, p):
         h = rng.randrange(p.n)
         # entries at or before the diagonal escape WF, so Q1 and Q3 run
         g = rng.randint(0, h) if rng.random() < 0.7 else rng.randrange(len(p.gens))
-        rows[h][g] = rows[h][g] * _random_unit(rng, p.params)
+        # a sign alone changes no exponent, only the parity of the weight
+        factor = -UnitMonomial.one(p.params)
+        if rng.random() < 0.7:
+            factor = _random_unit(rng, p.params)
+        rows[h][g] = rows[h][g] * factor
     return Presentation(p.name, p.params, p.gens, p.n, qmat=p.qmat,
                         tails=p.tails, qskew=p.qskew, hweights=rows)
 
@@ -124,3 +128,13 @@ def test_specialize_findings_match_reference(name):
                 p, lambda u: reference_conditions.unit_value(u, target), sp.tail_values)
             assert got == want, (p, kind, target)
 
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_key_weight_matches_unit_products(name):
+    rng = random.Random(f"keys {name}")
+    for p in _mutants(name, count=3):
+        for _ in range(20):
+            key = tuple(rng.randint(0, 4) for _ in p.gens)
+            for h in range(p.n):
+                assert p.key_weight(h, key) == reference_conditions.key_weight(p, h, key)
