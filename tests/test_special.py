@@ -126,16 +126,15 @@ def test_unit_value_at_roots_of_unity_matches_evaluation():
     rng = random.Random(61)
     names = ("q", "r", "s")
     for N in range(1, MAX_CYCLOTOMIC_ORDER + 1):
-        for width in (1, 2, 3):
-            params = names[:width]
-            target = SpecTarget.cyclotomic(N, {n: rng.randrange(N) for n in params})
-            assignment = target.assignment(params)
-            for sign in (1, -1):
-                unit = _random_unit(rng, params)
-                unit = unit if unit.sign == sign else -unit
-                assert target.unit_value(unit) == unit.as_poly().eval_map(assignment)
-            # memoized: equal units give the very same value
-            assert target.unit_value(unit) is target.unit_value(unit)
+        params = names[:N % 3 + 1]
+        target = SpecTarget.cyclotomic(N, {n: rng.randrange(N) for n in params})
+        assignment = target.assignment(params)
+        for sign in (1, -1):
+            unit = _random_unit(rng, params)
+            unit = unit if unit.sign == sign else -unit
+            assert target.unit_value(unit) == unit.as_poly().eval_map(assignment)
+        # memoized: equal units give the very same value
+        assert target.unit_value(unit) is target.unit_value(unit)
 
 
 def test_unit_value_at_rational_and_generic_targets():
