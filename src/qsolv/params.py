@@ -15,7 +15,6 @@ touches floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -23,6 +22,45 @@ from . import intlinalg
 from .errors import QsolvError
 
 _ZERO = Fraction(0)
+
+_set_field = object.__setattr__
+
+
+class FrozenRecord:
+    """Base of the small immutable value classes.
+
+    A subclass lists its fields in ``_fields`` and sets each once in its
+    ``__init__`` through ``_init``.  Records of one class compare and hash
+    as the tuple of their fields, print as ``Name(field=value, ...)`` and
+    refuse assignment and deletion, as frozen dataclasses do.
+    """
+
+    _fields = ()
+
+    def _init(self, *values):
+        for name, value in zip(self._fields, values):
+            _set_field(self, name, value)
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _as_fraction(value):
@@ -365,23 +403,33 @@ class LaurentPoly:
         return f"LaurentPoly({self})"
 
 
-@dataclass(frozen=True)
-class UnitMonomial:
+class UnitMonomial(FrozenRecord):
     """A unit of the coefficient ring of the form +-1 * prod params^e.
 
     These are exactly the scalars allowed in commutation data; keeping
     the sign explicit lets the torsion check reason about -1.
     """
 
-    params: tuple
-    sign: int
-    exps: tuple
+    _fields = ("params", "sign", "exps")
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
+    def __init__(self, params, sign, exps):
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        if len(self.exps) != len(self.params):
+        if len(exps) != len(params):
             raise ValueError("exponent vector width does not match params")
+        _set_field(self, "params", params)
+        _set_field(self, "sign", sign)
+        _set_field(self, "exps", exps)
+
+    # units are compared and hashed often, so these skip _values
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.params, self.sign, self.exps) == \
+                (other.params, other.sign, other.exps)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.params, self.sign, self.exps))
 
     @classmethod
     def one(cls, params):

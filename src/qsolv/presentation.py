@@ -12,12 +12,11 @@ unit group, diagonal stability of all relations) live here too.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FamilyError, PresentationError
 from .normalform import NFElement
-from .params import LaurentPoly, UnitMonomial, gamma_torsionfree
+from .params import FrozenRecord, LaurentPoly, UnitMonomial, gamma_torsionfree
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -275,21 +274,19 @@ class Presentation:
 # -- validation -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Finding:
-    condition: str  # WF, Q1, Q2 or Q3
-    location: str
-    message: str
-    severity: str = "error"
+class Finding(FrozenRecord):
+    _fields = ("condition", "location", "message", "severity")
+
+    def __init__(self, condition, location, message, severity="error"):
+        # condition is WF, Q1, Q2 or Q3
+        self._init(condition, location, message, severity)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    passed: bool
-    findings: tuple
+class ValidationReport(FrozenRecord):
+    _fields = ("passed", "findings")
 
-    def errors(self):
-        return [f for f in self.findings if f.severity == "error"]
+    def __init__(self, passed, findings):
+        self._init(passed, findings)
 
 
 def relation_findings(p, value, tails):

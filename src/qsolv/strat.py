@@ -14,16 +14,15 @@ u not in I, away from finitely many exceptional parameter values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
 from . import densepoly
 from .errors import FamilyError, QsolvError
 from .normalform import nf_mul
-from .params import LaurentPoly
+from .params import FrozenRecord, LaurentPoly
 from .presentation import rank2
-from .torus import TorusPresentation, torus_of_presentation
+from .torus import torus_of_presentation
 
 
 def admissible_compositions(n):
@@ -51,8 +50,7 @@ def _parts(total, slots):
             yield (first,) + tail
 
 
-@dataclass(frozen=True)
-class StratumDescriptor:
+class StratumDescriptor(FrozenRecord):
     """One locally closed piece of the spectrum.
 
     vanishing and inverted list generator names; the torus is the
@@ -60,10 +58,10 @@ class StratumDescriptor:
     one.
     """
 
-    composition: tuple
-    vanishing: tuple
-    inverted: tuple
-    torus: TorusPresentation
+    _fields = ("composition", "vanishing", "inverted", "torus")
+
+    def __init__(self, composition, vanishing, inverted, torus):
+        self._init(composition, vanishing, inverted, torus)
 
 
 def _composition_blocks(n, composition):
@@ -141,11 +139,11 @@ def classify_affine_prime(p, vanishing):
     return _descriptor(p, tuple(parts))
 
 
-@dataclass(frozen=True)
-class Rank2Stratum:
-    label: str
-    containsU: bool
-    description: str
+class Rank2Stratum(FrozenRecord):
+    _fields = ("label", "containsU", "description")
+
+    def __init__(self, label, containsU, description):
+        self._init(label, containsU, description)
 
 
 class Rank2Strata:
