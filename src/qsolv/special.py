@@ -24,7 +24,6 @@ from .presentation import (
     scalar_units,
     validate_presentation,
 )
-from .torus import root_of_unity_structure, torus_of_presentation
 
 MAX_CYCLOTOMIC_ORDER = 64
 
@@ -274,7 +273,7 @@ class SpecTarget:
                     value *= self.values[name] ** a
             return value
         N, sign = self.order, unit.sign
-        k = sum(a * self.exponents[name] for name, a in zip(unit.params, unit.exps))
+        k = self._zeta_exponent(unit.params, unit.exps)
         if sign < 0 and N % 2 == 0:
             k, sign = k + N // 2, 1
         key = (sign, k % N)
@@ -283,6 +282,10 @@ class SpecTarget:
             value = CycNumber.zeta(N, key[1])
             value = self._roots[key] = value if sign > 0 else -value
         return value
+
+    def _zeta_exponent(self, params, exps):
+        """k with prod p^a = zeta^k at this cyclotomic target."""
+        return sum(a * self.exponents[name] for name, a in zip(params, exps))
 
     def __repr__(self):
         if self.kind == "rational":
@@ -296,15 +299,31 @@ class SpecTarget:
         return "SpecTarget(transcendental)"
 
 
-def _eval_coef(coef, assignment, params):
+def _eval_poly(poly, target):
+    """Value of a Laurent polynomial at a rational or cyclotomic target.
+
+    At zeta_N each term's monomial is zeta^k with k read off its
+    exponents, so the terms add up in one residue vector, reduced once.
+    A constant comes back as a Fraction, as from ``LaurentPoly.eval_map``.
+    """
+    if target.kind != "cyclotomic" or not any(map(any, poly.terms)):
+        return poly.eval_map(target.assignment(poly.params))
+    N = target.order
+    vec = [Fraction(0)] * N
+    for exps, coef in poly.terms.items():
+        vec[target._zeta_exponent(poly.params, exps) % N] += coef
+    return CycNumber(N, vec)
+
+
+def _eval_coef(coef, target):
     if isinstance(coef, FracElem):
-        num = coef.num.eval_map(assignment)
-        den = coef.den.eval_map(assignment)
+        num = _eval_poly(coef.num, target)
+        den = _eval_poly(coef.den, target)
         if den == 0:
             raise SpecializationError("coefficient denominator vanishes")
         return num / den
     if isinstance(coef, LaurentPoly):
-        return coef.eval_map(assignment)
+        return _eval_poly(coef, target)
     return Fraction(coef)
 
 
@@ -388,10 +407,6 @@ class SpecializedPresentation:
         self.findings = findings
 
     @property
-    def gens(self):
-        return self.base.gens
-
-    @property
     def passed(self):
         return self.findings.passed
 
@@ -418,13 +433,13 @@ def specialize_presentation(p, target):
         tails = {pair: dict(terms) for pair, terms in p.tails.items()}
         return SpecializedPresentation(p, target, p.qskew, tails, report)
 
-    assignment = target.assignment(p.params)
+    target.assignment(p.params)  # every parameter needs a value
     unit = target.unit_value
     tail_values = {}
     for (i, j), terms in p.tails.items():
         vals = {}
         for key, coef in terms.items():
-            v = _eval_coef(coef, assignment, p.params)
+            v = _eval_coef(coef, target)
             if v != 0:
                 vals[key] = v
         if vals:
@@ -489,7 +504,7 @@ def is_central_at(p, element, target):
                 return False
             continue
         for coef in diff.terms.values():
-            if _eval_coef(coef, assignment, p.params) != 0:
+            if _eval_coef(coef, target) != 0:
                 return False
     return True
 
@@ -508,6 +523,8 @@ def root_of_unity_witness(p, N):
         )
     if len(p.params) != 1:
         raise SpecializationError("single-parameter presentations only")
+    from .torus import root_of_unity_structure, torus_of_presentation
+
     target = SpecTarget.cyclotomic(N, {p.params[0]: 1})
     central = tuple(
         is_central_at(p, p.gen_power(i, N), target) for i in range(p.n)

@@ -8,6 +8,9 @@ cheaper kernels:
   square root of the values; small inputs only.
 * ``unit_value`` evaluates a unit monomial through ``LaurentPoly.eval_map``
   at the target's assignment.
+* ``eval_coef`` evaluates a tail coefficient the same way, raising the
+  value of each parameter to each power, where the library reads each
+  monomial off as a power of zeta.
 * ``relation_findings`` builds the weight of every tail key as a product
   of one ``UnitMonomial`` per generator and compares it with the weight
   the relation asks for.
@@ -17,7 +20,14 @@ The library must agree with them exactly.
 
 from fractions import Fraction
 
-from qsolv import SpecializationError, UnitMonomial, gamma_torsionfree, unit_product
+from qsolv import (
+    FracElem,
+    LaurentPoly,
+    SpecializationError,
+    UnitMonomial,
+    gamma_torsionfree,
+    unit_product,
+)
 from qsolv.presentation import Finding
 
 
@@ -54,6 +64,20 @@ def rational_torsionfree(values):
 def unit_value(unit, target):
     """Value of a unit monomial at a rational or cyclotomic target."""
     return unit.as_poly().eval_map(target.assignment(unit.params))
+
+
+def eval_coef(coef, target):
+    """Value of a Laurent or fraction-field coefficient at a rational or
+    cyclotomic target."""
+    assignment = target.assignment(coef.params if isinstance(coef, LaurentPoly)
+                                   else coef.num.params)
+    if isinstance(coef, FracElem):
+        num = coef.num.eval_map(assignment)
+        den = coef.den.eval_map(assignment)
+        if den == 0:
+            raise SpecializationError("coefficient denominator vanishes")
+        return num / den
+    return coef.eval_map(assignment)
 
 
 def key_weight(p, i, key):

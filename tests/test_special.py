@@ -11,6 +11,7 @@ import reference_conditions
 
 from qsolv import (
     CycNumber,
+    FracElem,
     LaurentPoly,
     Presentation,
     SpecTarget,
@@ -23,6 +24,7 @@ from qsolv import (
     quantum_matrices,
     quantum_plane,
     quantum_weyl,
+    rank2,
     root_of_unity_witness,
     specialize_presentation,
     validate_presentation,
@@ -148,6 +150,54 @@ def test_unit_value_at_rational_and_generic_targets():
     assert SpecTarget.transcendental().unit_value(unit) is unit
     sp = specialize_presentation(quantum_plane(), SpecTarget.transcendental())
     assert sp.commutation_value(0, 1) == UnitMonomial.var(("q",), "q")
+
+
+def _tail_coefficients():
+    """Distinct tail coefficients of the families, by parameter tuple."""
+    families = [quantum_weyl(1), quantum_weyl(2), quantum_affine(3), quantum_matrices(2),
+                quantum_matrices(3), rank2((qvar() - 3) * (qvar() ** 2 + qvar() - 5))]
+    coefs = {}
+    for p in families:
+        for terms in p.tails.values():
+            for coef in terms.values():
+                coefs.setdefault(p.params, {})[str(coef)] = coef
+    return {params: list(found.values()) for params, found in coefs.items()}
+
+
+def test_tail_values_at_roots_of_unity_match_evaluation():
+    rng = random.Random(64)
+    by_params = _tail_coefficients()
+    assert sum(map(len, by_params.values())) >= 5
+    for N in range(1, MAX_CYCLOTOMIC_ORDER + 1):
+        for params, coefs in by_params.items():
+            target = SpecTarget.cyclotomic(N, {n: rng.randrange(-N, N) for n in params})
+            # the reference is slow: three coefficients per order, in turn
+            for k in range(min(3, len(coefs))):
+                coef = coefs[(3 * N + k) % len(coefs)]
+                got = special._eval_coef(coef, target)
+                want = reference_conditions.eval_coef(coef, target)
+                assert got == want and type(got) is type(want), (N, params, str(coef))
+
+
+def test_fraction_coefficients_at_targets_match_evaluation():
+    rng = random.Random(5)
+    q = qvar()
+    values = [q - 1, q ** 3 + 2 * q ** -2 - F(1, 2), 3 * q ** 2, LaurentPoly.const(("q",), 7)]
+    for N in (1, 2, 3, 4, 6, 12, 17, 30, 64):
+        target = SpecTarget.cyclotomic(N, {"q": rng.randrange(N)})
+        for num, den in itertools.product(values, repeat=2):
+            coef = FracElem(num, den)
+            try:
+                want = reference_conditions.eval_coef(coef, target)
+            except SpecializationError:
+                with pytest.raises(SpecializationError):
+                    special._eval_coef(coef, target)
+                continue
+            assert special._eval_coef(coef, target) == want
+    target = SpecTarget.rational({"q": F(-2, 3)})
+    for num, den in itertools.product(values, repeat=2):
+        coef = FracElem(num, den)
+        assert special._eval_coef(coef, target) == reference_conditions.eval_coef(coef, target)
 
 
 def test_spec_target_rejects_degenerate_values():
