@@ -19,7 +19,6 @@ import re
 import sys
 from fractions import Fraction
 
-from .adjoint import ad_eigencomponents
 from .errors import (
     FamilyError,
     ParseError,
@@ -31,72 +30,64 @@ from .errors import (
 from .normalform import nf_mul
 from .params import LaurentPoly, UnitMonomial
 from .presentation import Presentation, validate_presentation
-from .special import SpecTarget, specialize_presentation
-from .strat import stratify_affine, stratify_rank2
-from .torus import center_lattice, compatible_basis, torus_of_presentation
-from .weights import weight_components
 
 # -- tokenizer --------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"(?P<WS>[ \t]+)"
-    r"|(?P<RATIONAL>\d+/\d+)"
-    r"|(?P<INT>\d+)"
-    r"|(?P<NAME>[A-Za-z][A-Za-z0-9_]*)"
-    r"|(?P<OP>[*^+\-,:/()])"
-)
-
-
-class _Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
-
-    def __repr__(self):
-        return f"_Token({self.kind} {self.text!r} @{self.line}:{self.col})"
+# A token is a fraction or an integer, a name or an operator; blanks
+# separate tokens.  Tokens are kept as plain strings, their kind read off
+# the first character, and positions are worked out only for an error.
+_TOKEN_RE = re.compile(r"\d+(?:/\d+)?|[A-Za-z][A-Za-z0-9_]*|[*^+\-,:/()]")
 
 
 def _tokenize(text):
-    """Token runs per statement; a lone '/' splits statements within a
-    physical line, '1/2' without spaces stays a fraction."""
+    """One cursor per statement, each line split into tokens by a single
+    regex pass.  A lone '/' splits statements within a physical line;
+    '1/2' without spaces stays a fraction."""
     statements = []
-    current = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         body = raw.split("#", 1)[0]
-        pos = 0
-        while pos < len(body):
-            m = _TOKEN_RE.match(body, pos)
-            if m is None:
-                raise ParseError(
-                    f"unexpected character {body[pos]!r}", lineno, pos + 1
-                )
-            pos = m.end()
-            kind = m.lastgroup
-            if kind == "WS":
-                continue
-            tok = _Token(kind, m.group(), lineno, m.start() + 1)
-            if kind == "OP" and tok.text == "/":
-                if current:
-                    statements.append(current)
-                current = []
-            else:
-                current.append(tok)
-        if current:
-            statements.append(current)
-        current = []
+        tokens = _TOKEN_RE.findall(body)
+        # findall skips what no token matches: anything but a blank is an error
+        if sum(map(len, tokens)) + body.count(" ") + body.count("\t") != len(body):
+            _bad_character(body, lineno)
+        if "/" not in tokens:
+            if tokens:
+                statements.append(_Cursor(tokens, lineno, body, 0))
+            continue
+        first = 0
+        for k, tok in enumerate(tokens + ["/"]):
+            if tok == "/":
+                if k > first:
+                    statements.append(_Cursor(tokens[first:k], lineno, body, first))
+                first = k + 1
     return statements
 
 
-class _Cursor:
-    """Sequential reader over one statement's tokens."""
+def _bad_character(body, lineno):
+    pos = 0
+    while True:
+        pos = len(body) - len(body[pos:].lstrip(" \t"))
+        m = _TOKEN_RE.match(body, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {body[pos]!r}", lineno, pos + 1)
+        pos = m.end()
 
-    def __init__(self, tokens):
+
+class _Cursor:
+    """Sequential reader over one statement's tokens.
+
+    The statement is ``tokens``, which start at token ``first`` of the
+    text ``body`` of line ``line``.
+    """
+
+    __slots__ = ("tokens", "pos", "line", "body", "first")
+
+    def __init__(self, tokens, line, body, first):
         self.tokens = tokens
         self.pos = 0
+        self.line = line
+        self.body = body
+        self.first = first
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -104,119 +95,127 @@ class _Cursor:
     def done(self):
         return self.pos >= len(self.tokens)
 
-    def _fail(self, message):
-        if self.pos < len(self.tokens):
-            t = self.tokens[self.pos]
-            raise ParseError(message, t.line, t.col)
-        t = self.tokens[-1]
-        raise ParseError(message, t.line, t.col + len(t.text))
+    def error(self, message, index=None):
+        """A ParseError at token ``index`` of the statement (by default
+        the next one), or just after the last token when there is none."""
+        index = self.pos if index is None else index
+        spans = [m.span() for m in _TOKEN_RE.finditer(self.body)]
+        if index < len(self.tokens):
+            column = spans[self.first + index][0] + 1
+        else:
+            column = spans[self.first + len(self.tokens) - 1][1] + 1
+        return ParseError(message, self.line, column)
 
-    def take(self, kind, text=None, what=None):
+    def accept(self, text):
+        """Step over the next token if it is ``text``."""
+        if self.pos < len(self.tokens) and self.tokens[self.pos] == text:
+            self.pos += 1
+            return True
+        return False
+
+    def take(self, text, what):
+        if not self.accept(text):
+            raise self.error(f"expected {what}")
+
+    def name(self, what):
         t = self.peek()
-        if t is None or t.kind != kind or (text is not None and t.text != text):
-            self._fail(f"expected {what or text or kind.lower()}")
+        if t is None or not t[0].isalpha():
+            raise self.error(f"expected {what}")
         self.pos += 1
         return t
 
-    def accept(self, kind, text=None):
+    def integer(self, what):
         t = self.peek()
-        if t is not None and t.kind == kind and (text is None or t.text == text):
-            self.pos += 1
-            return t
-        return None
+        if t is None or not t.isdigit():
+            raise self.error(f"expected {what}")
+        self.pos += 1
+        return int(t)
 
 
-def _parse_int(cur, what="integer"):
-    sign = -1 if cur.accept("OP", "-") else 1
-    tok = cur.take("INT", what=what)
-    return sign * int(tok.text)
+def _parse_int(cur, what):
+    sign = -1 if cur.accept("-") else 1
+    return sign * cur.integer(what)
 
 
-def _parse_unit(cur, params):
+def _parse_unit(cur, params, pindex):
     """UNITEXPR: optional sign, then NAME^INT factors joined by '*', or a
-    literal 1."""
-    sign = 1
-    if cur.accept("OP", "-"):
-        sign = -1
-    if cur.accept("INT", "1"):
-        unit = UnitMonomial.one(params)
-        if not cur.accept("OP", "*"):
-            return unit if sign > 0 else -unit
-    unit = UnitMonomial.one(params)
-    while True:
-        tok = cur.take("NAME", what="parameter name")
-        if tok.text not in params:
-            raise ParseError(
-                f"unknown parameter {tok.text!r}", tok.line, tok.col
-            )
-        power = 1
-        if cur.accept("OP", "^"):
-            power = _parse_int(cur, "exponent")
-        unit = unit * UnitMonomial.var(params, tok.text, power)
-        if not cur.accept("OP", "*"):
-            break
-    return unit if sign > 0 else -unit
+    literal 1.  The exponents add up in one list, by parameter position."""
+    sign = -1 if cur.accept("-") else 1
+    exps = [0] * len(params)
+    if not cur.accept("1") or cur.accept("*"):
+        while True:
+            name = cur.name("parameter name")
+            pos = pindex.get(name)
+            if pos is None:
+                raise cur.error(f"unknown parameter {name!r}", cur.pos - 1)
+            exps[pos] += _parse_int(cur, "exponent") if cur.accept("^") else 1
+            if not cur.accept("*"):
+                break
+    return UnitMonomial(params, sign, tuple(exps))
 
 
 def _parse_rational(cur):
-    tok = cur.accept("RATIONAL") or cur.accept("INT")
-    if tok is None:
+    t = cur.peek()
+    if t is None or not t[0].isdigit():
         return None
-    if "/" in tok.text:
-        num, den = tok.text.split("/")
+    cur.pos += 1
+    if "/" in t:
+        num, den = t.split("/")
         return Fraction(int(num), int(den))
-    return Fraction(int(tok.text))
+    return Fraction(int(t))
 
 
-def _parse_term(cur, params, gen_positions):
+def _parse_term(cur, pindex, gen_positions):
     """One POLYEXPR term: optional rational, then '*'-joined factors of
-    parameter or generator powers.  Returns (Fraction, param exponent
-    map, generator exponent map in written order)."""
+    parameter or generator powers.  Returns (Fraction, parameter exponent
+    map by position, generator factors in written order as (position,
+    power, token index))."""
     coef = _parse_rational(cur)
     pexps = {}
     gfactors = []
-    need_factor = coef is None
-    while True:
-        if coef is not None or pexps or gfactors:
-            if not cur.accept("OP", "*"):
-                if need_factor and not (pexps or gfactors):
-                    pass
-                else:
-                    break
-        tok = cur.peek()
-        if tok is None or tok.kind != "NAME":
-            if need_factor and not (pexps or gfactors):
-                cur._fail("expected a coefficient or a factor")
-            break
-        cur.pos += 1
-        power = 1
-        if cur.accept("OP", "^"):
-            power = _parse_int(cur, "exponent")
-        if tok.text in params:
-            pexps[tok.text] = pexps.get(tok.text, 0) + power
-        elif tok.text in gen_positions:
-            gfactors.append((tok, power))
-        else:
-            raise ParseError(f"unknown name {tok.text!r}", tok.line, tok.col)
+    if coef is None or cur.accept("*"):
+        while True:
+            t = cur.peek()
+            if t is None or not t[0].isalpha():
+                if coef is None and not (pexps or gfactors):
+                    raise cur.error("expected a coefficient or a factor")
+                break
+            at = cur.pos
+            cur.pos += 1
+            power = _parse_int(cur, "exponent") if cur.accept("^") else 1
+            if t in pindex:
+                pos = pindex[t]
+                pexps[pos] = pexps.get(pos, 0) + power
+            elif t in gen_positions:
+                gfactors.append((gen_positions[t], power, at))
+            else:
+                raise cur.error(f"unknown name {t!r}", at)
+            if not cur.accept("*"):
+                break
     return (coef if coef is not None else Fraction(1)), pexps, gfactors
 
 
-def _parse_polyexpr(cur, params, gen_positions):
+def _parse_polyexpr(cur, pindex, gen_positions):
     """POLYEXPR as a list of (coef, param exps, gen factor list) terms."""
     terms = []
-    negate = bool(cur.accept("OP", "-"))
+    negate = cur.accept("-")
     while True:
-        coef, pexps, gfactors = _parse_term(cur, params, gen_positions)
-        if negate:
-            coef = -coef
-        terms.append((coef, pexps, gfactors))
-        if cur.accept("OP", "+"):
+        coef, pexps, gfactors = _parse_term(cur, pindex, gen_positions)
+        terms.append((-coef if negate else coef, pexps, gfactors))
+        if cur.accept("+"):
             negate = False
-        elif cur.accept("OP", "-"):
+        elif cur.accept("-"):
             negate = True
         else:
             break
     return terms
+
+
+def _param_exps(pexps, width):
+    exps = [0] * width
+    for pos, power in pexps.items():
+        exps[pos] = power
+    return tuple(exps)
 
 
 # -- presentation files ------------------------------------------------------
@@ -233,168 +232,122 @@ def parse_presentation(text):
     if not statements:
         raise ParseError("empty presentation file", 1, 1)
 
-    cur = _Cursor(statements[0])
-    cur.take("NAME", "algebra", what='the keyword "algebra"')
-    name = cur.take("NAME", what="algebra name").text
+    cur = statements[0]
+    cur.take("algebra", 'the keyword "algebra"')
+    name = cur.name("algebra name")
     if not cur.done():
-        cur._fail("trailing input after the header")
+        raise cur.error("trailing input after the header")
 
     params = ()
+    pindex = {}
     gens = []
     npoly = 0
     gen_positions = {}
     qmat = {}
-    qmat_lines = {}
     tails = {}
     qskew = {}
     weights = {}
 
-    def require_gens(tok):
-        if not gens:
-            raise ParseError(
-                "generators must be declared before this line",
-                tok.line, tok.col,
-            )
+    def generators(cur, count):
+        """Positions of the generators named by the next ``count`` tokens,
+        all read before any is looked up."""
+        at = cur.pos
+        names = [cur.name("generator name") for _ in range(count)]
+        for k, gname in enumerate(names, at):
+            if gname not in gen_positions:
+                raise cur.error(f"unknown generator {gname!r}", k)
+        return [gen_positions[g] for g in names]
 
-    for tokens in statements[1:]:
-        cur = _Cursor(tokens)
-        head = cur.take("NAME", what="a statement keyword")
-        if head.text == "params":
+    for cur in statements[1:]:
+        head = cur.name("a statement keyword")
+        if head in ("commute", "tail", "qskew", "weight") and not gens:
+            raise cur.error("generators must be declared before this line", 0)
+        if head == "params":
             if params:
-                raise ParseError("duplicate params line", head.line, head.col)
+                raise cur.error("duplicate params line", 0)
             if gens:
-                raise ParseError(
-                    "params must be declared before generators",
-                    head.line, head.col,
-                )
-            names = [cur.take("NAME", what="parameter name").text]
-            while cur.accept("OP", ","):
-                names.append(cur.take("NAME", what="parameter name").text)
+                raise cur.error("params must be declared before generators", 0)
+            names = [cur.name("parameter name")]
+            while cur.accept(","):
+                names.append(cur.name("parameter name"))
             if len(set(names)) != len(names):
-                raise ParseError("repeated parameter name", head.line, head.col)
+                raise cur.error("repeated parameter name", 0)
             params = tuple(names)
-        elif head.text == "gens":
+            pindex = {p: k for k, p in enumerate(params)}
+        elif head == "gens":
             if gens:
-                raise ParseError("duplicate gens line", head.line, head.col)
+                raise cur.error("duplicate gens line", 0)
             seen_laurent = False
             while True:
-                gname = cur.take("NAME", what="generator name")
-                kind = cur.take("NAME", what='"poly" or "laurent"')
-                if kind.text not in ("poly", "laurent"):
-                    raise ParseError(
-                        'generator kind must be "poly" or "laurent"',
-                        kind.line, kind.col,
+                at = cur.pos
+                gname = cur.name("generator name")
+                kind = cur.name('"poly" or "laurent"')
+                if kind not in ("poly", "laurent"):
+                    raise cur.error(
+                        'generator kind must be "poly" or "laurent"', at + 1
                     )
-                if gname.text in gen_positions or gname.text in params:
-                    raise ParseError(
-                        f"name {gname.text!r} already in use",
-                        gname.line, gname.col,
-                    )
-                if kind.text == "poly":
+                if gname in gen_positions or gname in pindex:
+                    raise cur.error(f"name {gname!r} already in use", at)
+                if kind == "poly":
                     if seen_laurent:
-                        raise ParseError(
+                        raise cur.error(
                             "polynomial generators must precede invertible "
-                            "ones", gname.line, gname.col,
+                            "ones", at,
                         )
                     npoly += 1
                 else:
                     seen_laurent = True
-                gen_positions[gname.text] = len(gens)
-                gens.append(gname.text)
-                if not cur.accept("OP", ","):
+                gen_positions[gname] = len(gens)
+                gens.append(gname)
+                if not cur.accept(","):
                     break
-        elif head.text == "commute":
-            require_gens(head)
-            atok = cur.take("NAME", what="generator name")
-            btok = cur.take("NAME", what="generator name")
-            for tok in (atok, btok):
-                if tok.text not in gen_positions:
-                    raise ParseError(
-                        f"unknown generator {tok.text!r}", tok.line, tok.col
-                    )
-            a, b = gen_positions[atok.text], gen_positions[btok.text]
+        elif head == "commute":
+            a, b = generators(cur, 2)
             if a >= b:
-                raise ParseError(
-                    "commute pairs are written in declaration order",
-                    atok.line, atok.col,
+                raise cur.error(
+                    "commute pairs are written in declaration order", 1
                 )
             if (a, b) in qmat:
-                raise ParseError(
-                    f"duplicate commute entry for {atok.text} {btok.text}",
-                    head.line, head.col,
+                raise cur.error(
+                    f"duplicate commute entry for {gens[a]} {gens[b]}", 0
                 )
-            cur.take("OP", ":", what="':'")
-            qmat[(a, b)] = _parse_unit(cur, params)
-            qmat_lines[(a, b)] = head
-        elif head.text == "tail":
-            require_gens(head)
-            itok = cur.take("NAME", what="generator name")
-            jtok = cur.take("NAME", what="generator name")
-            for tok in (itok, jtok):
-                if tok.text not in gen_positions:
-                    raise ParseError(
-                        f"unknown generator {tok.text!r}", tok.line, tok.col
-                    )
-            i, j = gen_positions[itok.text], gen_positions[jtok.text]
+            cur.take(":", "':'")
+            qmat[(a, b)] = _parse_unit(cur, params, pindex)
+        elif head == "tail":
+            i, j = generators(cur, 2)
             if not (i < j < npoly):
-                raise ParseError(
+                raise cur.error(
                     "tails attach to an ordered pair of polynomial "
-                    "generators", itok.line, itok.col,
+                    "generators", 1,
                 )
             if (i, j) in tails:
-                raise ParseError(
-                    f"duplicate tail entry for {itok.text} {jtok.text}",
-                    head.line, head.col,
+                raise cur.error(
+                    f"duplicate tail entry for {gens[i]} {gens[j]}", 0
                 )
-            cur.take("OP", ":", what="':'")
-            terms = _parse_polyexpr(cur, params, gen_positions)
-            tails[(i, j)] = _tail_terms(
-                terms, params, gen_positions, npoly, len(gens), i
-            )
-        elif head.text == "qskew":
-            require_gens(head)
-            idx_tok = cur.take("INT", what="generator index")
-            idx = int(idx_tok.text)
+            cur.take(":", "':'")
+            terms = _parse_polyexpr(cur, pindex, gen_positions)
+            tails[(i, j)] = _tail_terms(cur, terms, params, npoly, len(gens), i)
+        elif head in ("qskew", "weight"):
+            idx = cur.integer("generator index")
             if not 1 <= idx <= npoly:
-                raise ParseError(
-                    f"qskew index {idx} out of range 1..{npoly}",
-                    idx_tok.line, idx_tok.col,
+                raise cur.error(
+                    f"{head} index {idx} out of range 1..{npoly}", 1
                 )
-            if idx - 1 in qskew:
-                raise ParseError(
-                    f"duplicate qskew entry for index {idx}",
-                    head.line, head.col,
-                )
-            cur.take("OP", ":", what="':'")
-            qskew[idx - 1] = _parse_unit(cur, params)
-        elif head.text == "weight":
-            require_gens(head)
-            idx_tok = cur.take("INT", what="generator index")
-            idx = int(idx_tok.text)
-            if not 1 <= idx <= npoly:
-                raise ParseError(
-                    f"weight index {idx} out of range 1..{npoly}",
-                    idx_tok.line, idx_tok.col,
-                )
-            gtok = cur.take("NAME", what="generator name")
-            if gtok.text not in gen_positions:
-                raise ParseError(
-                    f"unknown generator {gtok.text!r}", gtok.line, gtok.col
-                )
-            key = (idx - 1, gen_positions[gtok.text])
-            if key in weights:
-                raise ParseError(
-                    f"duplicate weight entry for {idx} {gtok.text}",
-                    head.line, head.col,
-                )
-            cur.take("OP", ":", what="':'")
-            weights[key] = _parse_unit(cur, params)
+            if head == "qskew":
+                key = idx - 1
+                table, entry = qskew, f"index {idx}"
+            else:
+                (g,) = generators(cur, 1)
+                key = (idx - 1, g)
+                table, entry = weights, f"{idx} {gens[g]}"
+            if key in table:
+                raise cur.error(f"duplicate {head} entry for {entry}", 0)
+            cur.take(":", "':'")
+            table[key] = _parse_unit(cur, params, pindex)
         else:
-            raise ParseError(
-                f"unknown statement {head.text!r}", head.line, head.col
-            )
+            raise cur.error(f"unknown statement {head!r}", 0)
         if not cur.done():
-            cur._fail("trailing input after the statement")
+            raise cur.error("trailing input after the statement")
 
     if not gens:
         raise ParseError("missing gens line", 1, 1)
@@ -410,40 +363,41 @@ def parse_presentation(text):
         raise ParseError(str(exc), 1, 1)
 
 
-def _tail_terms(terms, params, gen_positions, npoly, width, i):
+def _tail_terms(cur, terms, params, npoly, width, i):
     """Fold parsed POLYEXPR terms into a tail coefficient table, checking
     basis order and placement."""
     table = {}
     for coef, pexps, gfactors in terms:
         key = [0] * width
         last = -1
-        for tok, power in gfactors:
-            pos = gen_positions[tok.text]
+        for pos, power, at in gfactors:
             if pos <= i and pos < npoly:
-                raise ParseError(
-                    f"tail may not involve {tok.text!r}; only later "
-                    "generators are allowed", tok.line, tok.col,
+                raise cur.error(
+                    f"tail may not involve {cur.tokens[at]!r}; only later "
+                    "generators are allowed", at,
                 )
             if pos <= last:
-                raise ParseError(
+                raise cur.error(
                     "tail monomials are written in basis order, each "
-                    "generator at most once", tok.line, tok.col,
+                    "generator at most once", at,
                 )
             if pos < npoly and power < 0:
-                raise ParseError(
-                    "polynomial generators take nonnegative exponents",
-                    tok.line, tok.col,
+                raise cur.error(
+                    "polynomial generators take nonnegative exponents", at
                 )
             last = pos
             key[pos] = power
-        exps = tuple(pexps.get(name, 0) for name in params)
-        mono = LaurentPoly(params, {exps: coef}) if coef else None
-        if mono is None:
+        if not coef:
             continue
-        key = tuple(key)
-        prev = table.get(key)
-        table[key] = mono if prev is None else prev + mono
-    return {k: v for k, v in table.items() if not v.is_zero()}
+        # like terms add up as coefficients, into one polynomial per key
+        coefs = table.setdefault(tuple(key), {})
+        exps = _param_exps(pexps, len(params))
+        total = coefs.get(exps, 0) + coef
+        if total:
+            coefs[exps] = total
+        else:
+            del coefs[exps]
+    return {k: LaurentPoly(params, c) for k, c in table.items() if c}
 
 
 def parse_element(p, text):
@@ -455,21 +409,20 @@ def parse_element(p, text):
     statements = _tokenize(text)
     if len(statements) != 1:
         raise ParseError("expected a single element expression", 1, 1)
-    cur = _Cursor(statements[0])
+    cur = statements[0]
     gen_positions = {g: k for k, g in enumerate(p.gens)}
-    terms = _parse_polyexpr(cur, p.params, gen_positions)
+    pindex = {name: k for k, name in enumerate(p.params)}
+    terms = _parse_polyexpr(cur, pindex, gen_positions)
     if not cur.done():
-        cur._fail("trailing input after the expression")
+        raise cur.error("trailing input after the expression")
     total = p.zero()
     for coef, pexps, gfactors in terms:
-        exps = tuple(pexps.get(name, 0) for name in p.params)
+        exps = _param_exps(pexps, len(p.params))
         part = p.scalar(LaurentPoly(p.params, {exps: coef}))
-        for tok, power in gfactors:
-            pos = gen_positions[tok.text]
+        for pos, power, at in gfactors:
             if pos < p.n and power < 0:
-                raise ParseError(
-                    "polynomial generators take nonnegative exponents",
-                    tok.line, tok.col,
+                raise cur.error(
+                    "polynomial generators take nonnegative exponents", at
                 )
             part = nf_mul(part, p.gen_power(pos, power))
         total = total + part
@@ -585,6 +538,8 @@ def _cmd_validate(args, out, report):
 
 
 def _cmd_weights(args, out, report):
+    from .weights import weight_components
+
     p = parse_presentation(_load(args.file))
     element = parse_element(p, args.element)
     comps = weight_components(element)
@@ -620,6 +575,8 @@ def _minpoly_str(coeffs):
 
 
 def _cmd_adjoint(args, out, report):
+    from .adjoint import ad_eigencomponents
+
     p = parse_presentation(_load(args.file))
     try:
         xidx = p.position(args.xgen)
@@ -644,6 +601,8 @@ def _cmd_adjoint(args, out, report):
 
 
 def _cmd_center(args, out, report):
+    from .torus import center_lattice, compatible_basis, torus_of_presentation
+
     p = parse_presentation(_load(args.file))
     if p.n != 0:
         raise FamilyError(
@@ -689,6 +648,8 @@ def _rank2_tail(p):
 
 
 def _cmd_stratify(args, out, report):
+    from .strat import stratify_affine, stratify_rank2
+
     p = parse_presentation(_load(args.file))
     report.append(("algebra", p.name))
     if p.has_tails:
@@ -751,6 +712,8 @@ def _parse_assignments(pairs):
 
 
 def _cmd_specialize(args, out, report):
+    from .special import SpecTarget, specialize_presentation
+
     p = parse_presentation(_load(args.file))
     values = _parse_assignments(args.param)
     if args.root_of_unity is not None:
