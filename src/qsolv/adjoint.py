@@ -13,7 +13,7 @@ from __future__ import annotations
 from . import densepoly
 from .errors import AdRootError, LocalizationError, RepeatedRootError
 from .normalform import NFElement, nf_mul
-from .params import FracElem, LaurentPoly, UnitMonomial, as_field_element
+from .params import FracElem, LaurentPoly, UnitMonomial, as_field_element, unit_product
 
 
 def _check_site(p, xidx):
@@ -36,13 +36,10 @@ def _divide_right_once(p, xidx, elem):
     for key, coef in elem.terms.items():
         if key[xidx] < 1:
             return None
-        scalar = UnitMonomial.one(p.params)
-        for g in range(xidx + 1, len(key)):
-            if not key[g]:
-                continue
-            if g < p.n and p.tail_terms(xidx, g):
+        for g in range(xidx + 1, p.n):
+            if key[g] and p.tail_terms(xidx, g):
                 return None
-            scalar = scalar * p.commutation_unit(xidx, g).pow(key[g])
+        scalar = _conjugation_weight(p, xidx, (0,) * xidx + key[xidx:])
         newkey = list(key)
         newkey[xidx] -= 1
         out[tuple(newkey)] = coef * scalar.as_poly()
@@ -185,18 +182,13 @@ def _coordinates(vectors):
     return [v.lifted(d).terms for v in vectors]
 
 
-def _field(value, params):
-    if isinstance(value, FracElem):
-        return value
-    return as_field_element(value, params)
-
-
 def _conjugation_weight(p, xidx, key):
-    unit = UnitMonomial.one(p.params)
-    for g, e in enumerate(key):
-        if e and g != xidx:
-            unit = unit * p.commutation_unit(xidx, g).pow(e)
-    return unit
+    """The scalar s with x * Y^key = s * Y^key * x, tails aside."""
+    return unit_product(
+        ((p.commutation_unit(xidx, g), e)
+         for g, e in enumerate(key) if e and g != xidx),
+        p.params,
+    )
 
 
 def _root_candidates(p, xidx, coord_maps):
@@ -241,6 +233,7 @@ def ad_minimal_polynomial(p, xidx, a, degree_cap=16):
     if a.is_zero():
         raise AdRootError("the zero element has no minimal polynomial")
     params = p.params
+    zero, one = as_field_element(0, params), as_field_element(1, params)
 
     # Each new vector can deepen the common denominator and relabel every
     # coordinate, so the elimination is redone per step on fresh lifts.
@@ -252,20 +245,20 @@ def ad_minimal_polynomial(p, xidx, a, degree_cap=16):
         coords = _coordinates(vectors)
         reduced = []  # (pivot key, row dict, combination dict)
         for t, cmap in enumerate(coords):
-            row = {k: _field(c, params) for k, c in cmap.items()}
-            combo = {t: _field(1, params)}
+            row = {k: as_field_element(c, params) for k, c in cmap.items()}
+            combo = {t: one}
             for pivot, base, base_combo in reduced:
                 if pivot not in row:
                     continue
                 factor = row[pivot] / base[pivot]
                 for k, c in base.items():
-                    val = row.get(k, _field(0, params)) - factor * c
+                    val = row.get(k, zero) - factor * c
                     if val.is_zero():
                         row.pop(k, None)
                     else:
                         row[k] = val
                 for s, c in base_combo.items():
-                    val = combo.get(s, _field(0, params)) - factor * c
+                    val = combo.get(s, zero) - factor * c
                     if val.is_zero():
                         combo.pop(s, None)
                     else:
@@ -285,9 +278,7 @@ def ad_minimal_polynomial(p, xidx, a, degree_cap=16):
 
     degree = max(combo_found)
     lead = combo_found[degree]
-    coeffs = [
-        combo_found.get(t, _field(0, params)) / lead for t in range(degree + 1)
-    ]
+    coeffs = [combo_found.get(t, zero) / lead for t in range(degree + 1)]
 
     candidates = _root_candidates(p, xidx, _coordinates(vectors))
     found, rest = densepoly.peel_roots(coeffs, candidates, UnitMonomial.as_poly)
@@ -315,6 +306,7 @@ def ad_eigencomponents(p, xidx, a, degree_cap=16):
             raise RepeatedRootError(root)
     a = spec.element
     params = p.params
+    one = as_field_element(1, params)
     components = []
     for m, gm in enumerate(spec.roots):
         if len(spec.roots) == 1:
@@ -327,7 +319,7 @@ def ad_eigencomponents(p, xidx, a, degree_cap=16):
                 continue
             b = ad_apply(p, xidx, b) - b.scale(gj)
             den = den * (gm.as_poly() - gj.as_poly())
-        components.append(b.scale(_field(1, params) / den))
+        components.append(b.scale(one / den))
     return AdSpectrum(p, xidx, a, spec.minpoly, spec.roots,
                       spec.multiplicities, components)
 

@@ -717,7 +717,14 @@ def _cmd_specialize(args, out, report):
     p = parse_presentation(_load(args.file))
     values = _parse_assignments(args.param)
     if args.root_of_unity is not None:
-        exponents = {name: int(v) for name, v in values.items()}
+        exponents = {}
+        for name, v in values.items():
+            if v.denominator != 1:
+                raise ParseError(
+                    f"--root-of-unity needs an integer exponent for {name}, "
+                    f"got {v}", 0, 0,
+                )
+            exponents[name] = v.numerator
         for name in p.params:
             exponents.setdefault(name, 1)
         target = SpecTarget.cyclotomic(args.root_of_unity, exponents)

@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import QsolvError, RewriteBudgetError
-from .params import FracElem, LaurentPoly, UnitMonomial
+from .params import FracElem, LaurentPoly, UnitMonomial, normal_scalar, unit_product
 
 DEFAULT_BUDGET = 10**6
 
@@ -211,33 +211,6 @@ class NFElement:
 # -- the multiplication table ----------------------------------------------
 
 
-def _kshift_unit(pres, letter, kvec):
-    """Scalar picked up moving the invertible block k^kvec right across
-    one polynomial letter: k^v * g = scalar * g * k^v."""
-    unit = UnitMonomial.one(pres.params)
-    n = pres.n
-    for t, e in enumerate(kvec):
-        if e:
-            unit = unit * pres.commutation_unit(letter, n + t).pow(-e)
-    return unit
-
-
-def _kmerge_unit(pres, left, right):
-    """Scalar from merging two ordered invertible blocks:
-    k^left * k^right = scalar * k^(left+right)."""
-    unit = UnitMonomial.one(pres.params)
-    n = pres.n
-    for t in range(pres.m):
-        if not left[t]:
-            continue
-        for u in range(t):
-            if right[u]:
-                unit = unit * pres.commutation_unit(n + t, n + u).pow(
-                    left[t] * right[u]
-                )
-    return unit
-
-
 def _last_letter(key, n):
     """Position of the last polynomial letter of a monomial, or -1."""
     for pos in range(n - 1, -1, -1):
@@ -266,14 +239,13 @@ def _accumulate(out, key, coef):
 
 def _times_kblock(pres, terms, kvec):
     """Right product of a term map with the ordered invertible block k^kvec."""
-    n = pres.n
+    right = (0,) * pres.n + kvec
     out = {}
     for key, coef in terms.items():
-        unit = _kmerge_unit(pres, key[n:], kvec)
+        unit = normal_scalar(pres.commutation_unit, key, right, pres.params)
         if not unit.is_one():
             coef = coef * unit.as_poly()
-        kpart = tuple(x + y for x, y in zip(key[n:], kvec))
-        _accumulate(out, key[:n] + kpart, coef)
+        _accumulate(out, tuple(x + y for x, y in zip(key, right)), coef)
     return out
 
 
@@ -347,7 +319,12 @@ class _RightTable:
             kvec = key[n:]
             shifted = any(kvec)
             if shifted:
-                unit = _kshift_unit(pres, a, kvec)
+                # k^kvec * g_a = unit * g_a * k^kvec
+                unit = unit_product(
+                    ((pres.commutation_unit(n + t, a), e)
+                     for t, e in enumerate(kvec) if e),
+                    pres.params,
+                )
                 if not unit.is_one():
                     coef = coef * unit.as_poly()
             if a >= _last_letter(key, n):
@@ -413,10 +390,9 @@ def nf_mul(left, right, budget=DEFAULT_BUDGET):
             coef = c1 * c2
             if not w2 or last <= w2[0]:
                 if any(s1):
-                    scalar = UnitMonomial.one(pres.params)
-                    for letter in w2:
-                        scalar = scalar * _kshift_unit(pres, letter, s1)
-                    scalar = scalar * _kmerge_unit(pres, s1, s2)
+                    # the letters of k1 come first, so only k^s1 moves
+                    scalar = normal_scalar(pres.commutation_unit, k1, k2,
+                                           pres.params)
                     if not scalar.is_one():
                         coef = coef * scalar.as_poly()
                 _accumulate(out, tuple(x + y for x, y in zip(k1, k2)), coef)

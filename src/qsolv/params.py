@@ -506,18 +506,43 @@ class UnitMonomial(FrozenRecord):
 def unit_product(factors, params=None):
     """Product of (unit, exponent) pairs; the empty product is 1.
 
-    An empty factor list needs the params argument for context, since
-    there is nothing to read the parameter tuple from.
+    The exponent vectors are summed with those multiplicities and the
+    signs of odd powers of negative units multiplied, so no intermediate
+    unit is built.  An empty factor list needs the params argument for
+    context, since there is nothing to read the parameter tuple from.
     """
-    factors = list(factors)
-    if not factors:
+    first, sign, cols = None, 1, []
+    for unit, power in factors:
+        if unit.params is not first:
+            if first is None:
+                first = unit.params
+            elif unit.params != first:
+                raise ValueError("parameter tuples differ")
+        if unit.sign < 0 and power % 2:
+            sign = -sign
+        cols.append(unit.exps if power == 1 else map(power.__mul__, unit.exps))
+    if first is None:
         if params is None:
             raise ValueError("empty factor list has no parameter context")
         return UnitMonomial.one(params)
-    result = UnitMonomial.one(factors[0][0].params)
-    for unit, power in factors:
-        result = result * unit.pow(power)
-    return result
+    return UnitMonomial(first, sign, tuple(map(sum, zip(*cols))))
+
+
+def normal_scalar(pairing, a, b, params):
+    """sigma(a, b) with Y^a * Y^b = sigma(a, b) * Y^(a+b), where the
+    generators satisfy Y_i Y_j = pairing(i, j) Y_j Y_i.
+
+    Reordering the concatenation into ascending index order swaps each
+    pair (i from a) > (j from b) once, contributing
+    pairing(i, j)^(a_i*b_j).
+    """
+    width = len(a)
+    return unit_product(
+        ((pairing(i, j), a[i] * bj)
+         for j, bj in enumerate(b) if bj
+         for i in range(j + 1, width) if a[i]),
+        params,
+    )
 
 
 def gamma_torsionfree(generators):

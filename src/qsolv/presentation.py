@@ -16,7 +16,13 @@ from fractions import Fraction
 
 from .errors import FamilyError, PresentationError
 from .normalform import NFElement
-from .params import FrozenRecord, LaurentPoly, UnitMonomial, gamma_torsionfree
+from .params import (
+    FrozenRecord,
+    LaurentPoly,
+    UnitMonomial,
+    gamma_torsionfree,
+    unit_product,
+)
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -179,20 +185,9 @@ class Presentation:
 
     def sparse_weight(self, i, terms):
         """Eigenvalue of tau_i on the exponent vector given by its nonzero
-        (generator, exponent) entries; exponents may be negative.
-
-        The exponent rows of the weight table are summed with those
-        multiplicities, and the signs of odd entries multiplied.
-        """
+        (generator, exponent) entries; exponents may be negative."""
         row = self.hweights[i]
-        sign, cols = 1, []
-        for g, e in terms:
-            u = row[g]
-            if u.sign < 0 and e % 2:
-                sign = -sign
-            cols.append(u.exps if e == 1 else map(e.__mul__, u.exps))
-        exps = tuple(map(sum, zip(*cols))) if cols else (0,) * len(self.params)
-        return UnitMonomial(self.params, sign, exps)
+        return unit_product(((row[g], e) for g, e in terms), self.params)
 
     # -- element constructors ---------------------------------------------
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from . import intlinalg
 from .errors import LatticeError
-from .params import UnitMonomial
+from .params import UnitMonomial, normal_scalar
 
 
 class TorusPresentation:
@@ -65,22 +65,11 @@ class TorusPresentation:
 
 
 def torus_normal_scalar(P, a, b):
-    """The scalar with Y^a * Y^b = scalar * Y^(a+b).
-
-    Reordering the concatenation into ascending index order swaps each
-    pair (i from a) > (j from b) once, contributing p_ij^(a_i*b_j).
-    """
+    """The scalar with Y^a * Y^b = scalar * Y^(a+b); see normal_scalar."""
     a, b = tuple(a), tuple(b)
     if len(a) != P.rank or len(b) != P.rank:
         raise ValueError("exponent vector width does not match rank")
-    scalar = UnitMonomial.one(P.params)
-    for i in range(P.rank):
-        if not a[i]:
-            continue
-        for j in range(i):
-            if b[j]:
-                scalar = scalar * P.pairing(i, j).pow(a[i] * b[j])
-    return scalar
+    return normal_scalar(P.pairing, a, b, P.params)
 
 
 def commutation_factor(P, a, b):

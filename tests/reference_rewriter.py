@@ -4,11 +4,39 @@ It rewrites words one adjacent inversion at a time, always the leftmost,
 and merges equal words only at the end.  Its work grows exponentially
 with degree, so it serves small products only.  nf_mul must agree with
 it exactly, including on presentations whose relations are not
-confluent, where the order of rewriting decides the result.
+confluent, where the order of rewriting decides the result.  The
+scalars of the invertible block are folded here unit by unit, apart from
+the engine's own code for them.
 """
 
 from qsolv import NFElement, RewriteBudgetError, UnitMonomial
-from qsolv.normalform import _kmerge_unit, _kshift_unit
+
+
+def _kshift_unit(pres, letter, kvec):
+    """Scalar picked up moving the invertible block k^kvec right across
+    one polynomial letter: k^v * g = scalar * g * k^v."""
+    unit = UnitMonomial.one(pres.params)
+    n = pres.n
+    for t, e in enumerate(kvec):
+        if e:
+            unit = unit * pres.commutation_unit(letter, n + t).pow(-e)
+    return unit
+
+
+def _kmerge_unit(pres, left, right):
+    """Scalar from merging two ordered invertible blocks:
+    k^left * k^right = scalar * k^(left+right)."""
+    unit = UnitMonomial.one(pres.params)
+    n = pres.n
+    for t in range(pres.m):
+        if not left[t]:
+            continue
+        for u in range(t):
+            if right[u]:
+                unit = unit * pres.commutation_unit(n + t, n + u).pow(
+                    left[t] * right[u]
+                )
+    return unit
 
 
 def _key_to_xword(pres, key):

@@ -323,6 +323,19 @@ def test_specialize_fraction_values(plane_file, capsys):
     capsys.readouterr()
 
 
+def test_specialize_root_of_unity_needs_integer_exponents(plane_file, capsys):
+    args = ["specialize", plane_file, "--root-of-unity", "6"]
+    assert run_command([*args, "--param", "q=1/2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: --root-of-unity needs an integer exponent for q, got 1/2\n"
+    )
+    # an integral fraction is an integer exponent
+    assert run_command([*args, "--param", "q=4/2"]) == 1
+    assert "q=zeta^2" in capsys.readouterr().out
+
+
 def test_compositions_command(capsys):
     assert run_command(["compositions", "3"]) == 0
     out = capsys.readouterr().out.splitlines()

@@ -1,5 +1,6 @@
 """Exact Laurent-polynomial and unit-monomial arithmetic."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -93,6 +94,50 @@ def test_unit_monomial_group():
     assert unit_product([(u, 1), (v, 2)]) == u * v * v
     assert unit_product([(u, 3), (u, -3)], params=P2).is_one()
     assert unit_product([], params=P2).is_one()
+
+
+def _fold_units(factors, params):
+    """Pairwise product of the (unit, power) factors, unit by unit."""
+    result = UnitMonomial.one(params)
+    for unit, power in factors:
+        result = result * unit.pow(power)
+    return result
+
+
+def test_unit_product_matches_pairwise_fold():
+    rng = random.Random(11)
+    signs, empty = set(), 0
+    for trial in range(400):
+        params = ("a", "b", "c")[: trial % 4]
+        pool = [
+            UnitMonomial(params, rng.choice((1, -1)),
+                         tuple(rng.randint(-4, 4) for _ in params))
+            for _ in range(rng.randint(1, 3))
+        ]
+        factors = [(rng.choice(pool), rng.randint(-5, 5))
+                   for _ in range(rng.randint(0, 6))]
+        want = _fold_units(factors, params)
+        assert unit_product(iter(factors), params) == want
+        if factors:
+            assert unit_product(factors) == want
+        else:
+            empty += 1
+        signs.add(want.sign)
+    assert signs == {1, -1} and empty
+
+
+def test_unit_product_errors():
+    u = UnitMonomial.var(P, "q", sign=-1)
+    v = UnitMonomial.var(P2, "c")
+    for factors in ([(u, 1), (v, 1)], [(v, 0), (u, 0)]):
+        with pytest.raises(ValueError, match="parameter tuples differ"):
+            unit_product(factors)
+    for factors in ([], iter(())):
+        with pytest.raises(ValueError, match="no parameter context"):
+            unit_product(factors)
+    # equal parameter tuples need not be the same object
+    w = UnitMonomial(tuple(["q"]), 1, (2,))
+    assert unit_product([(u, 3), (w, 1)]) == UnitMonomial(P, -1, (5,))
 
 
 def test_unit_monomial_additive_ops_land_in_polys():

@@ -7,17 +7,20 @@ import pytest
 from qsolv import (
     LatticeError,
     LatticeSubgroup,
+    Presentation,
     TorusPresentation,
     UnitMonomial,
     center_lattice,
     commutation_factor,
     compatible_basis,
+    nf_mul,
     quantum_plane,
     root_of_unity_structure,
     torus_normal_scalar,
     torus_of_presentation,
 )
 from qsolv.intlinalg import abs_det
+from reference_rewriter import reference_mul
 
 Q = ("q",)
 
@@ -38,6 +41,17 @@ def _random_torus(rng, rank):
             if e:
                 pmat[(i, j)] = qu(e)
     return TorusPresentation(rank, Q, pmat)
+
+
+def _random_signed_torus(rng, rank):
+    params = ("q", "r")
+    pmat = {}
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            if rng.random() < 0.8:
+                pmat[(i, j)] = UnitMonomial(params, rng.choice((1, -1)),
+                                            (rng.randint(-3, 3), rng.randint(-3, 3)))
+    return TorusPresentation(rank, params, pmat)
 
 
 def _window(rank, radius=3):
@@ -84,19 +98,38 @@ def test_normal_scalar_values():
 
 
 def test_normal_scalar_cocycle():
-    # sigma(a, b) sigma(a+b, c) = sigma(b, c) sigma(a, b+c)
-    rng = random.Random(7)
-    for _ in range(60):
-        rank = rng.randint(1, 4)
-        P = _random_torus(rng, rank)
-        a, b, c = (
-            tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(3)
-        )
-        ab = tuple(x + y for x, y in zip(a, b))
-        bc = tuple(x + y for x, y in zip(b, c))
-        lhs = torus_normal_scalar(P, a, b) * torus_normal_scalar(P, ab, c)
-        rhs = torus_normal_scalar(P, b, c) * torus_normal_scalar(P, a, bc)
-        assert lhs == rhs
+    # sigma(a, b) sigma(a+b, c) = sigma(b, c) sigma(a, b+c), also with
+    # signs and two parameters
+    for make, seed in ((_random_torus, 7), (_random_signed_torus, 8)):
+        rng = random.Random(seed)
+        for _ in range(60):
+            rank = rng.randint(1, 4)
+            P = make(rng, rank)
+            a, b, c = (
+                tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(3)
+            )
+            ab = tuple(x + y for x, y in zip(a, b))
+            bc = tuple(x + y for x, y in zip(b, c))
+            lhs = torus_normal_scalar(P, a, b) * torus_normal_scalar(P, ab, c)
+            rhs = torus_normal_scalar(P, b, c) * torus_normal_scalar(P, a, bc)
+            assert lhs == rhs
+
+
+def test_normal_scalar_matches_products_in_the_invertible_block():
+    # a torus as a presentation with no polynomial generators, where
+    # nf_mul and the word rewriter reorder k^a * k^b
+    rng = random.Random(13)
+    for _ in range(40):
+        rank = rng.randint(2, 5)
+        P = _random_signed_torus(rng, rank)
+        gens = tuple(f"k{i}" for i in range(rank))
+        p = Presentation("torus", P.params, gens, 0, qmat=P.pmat)
+        for _ in range(5):
+            a, b = (tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in "ab")
+            ab = tuple(x + y for x, y in zip(a, b))
+            want = p.monomial(ab, torus_normal_scalar(P, a, b))
+            assert nf_mul(p.monomial(a), p.monomial(b)) == want
+            assert reference_mul(p.monomial(a), p.monomial(b)) == want
 
 
 def test_commutation_factor_is_bimultiplicative():
