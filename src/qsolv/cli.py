@@ -716,6 +716,12 @@ def _cmd_specialize(args, out, report):
 
     p = parse_presentation(_load(args.file))
     values = _parse_assignments(args.param)
+    for name in values:
+        if name not in p.params:
+            raise ParseError(
+                f"unknown parameter {name!r} in --param; declared parameters: "
+                f"{', '.join(p.params) or 'none'}", 0, 0,
+            )
     if args.root_of_unity is not None:
         exponents = {}
         for name, v in values.items():

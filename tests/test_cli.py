@@ -336,6 +336,30 @@ def test_specialize_root_of_unity_needs_integer_exponents(plane_file, capsys):
     assert "q=zeta^2" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("args", [
+    ["--root-of-unity", "6", "--param", "r=2"],
+    ["--param", "q=2", "--param", "r=3"],
+    ["--param", "Q=2"],
+])
+def test_specialize_rejects_undeclared_parameters(plane_file, capsys, args):
+    assert run_command(["specialize", plane_file, *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    name = args[-1].split("=")[0]
+    assert captured.err == (
+        f"error: unknown parameter {name!r} in --param; declared parameters: q\n"
+    )
+
+
+def test_specialize_without_parameters_rejects_any_assignment(tmp_path, capsys):
+    path = tmp_path / "minus.alg"
+    path.write_text("algebra minus\ngens x poly, y poly\ncommute x y : -1\n")
+    assert run_command(["specialize", str(path), "--param", "q=2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: unknown parameter 'q' in --param; declared parameters: none\n"
+    )
+
+
 def test_compositions_command(capsys):
     assert run_command(["compositions", "3"]) == 0
     out = capsys.readouterr().out.splitlines()

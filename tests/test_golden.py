@@ -48,8 +48,8 @@ def commands(path):
     at -1 and at a primitive sixth root of unity, then stratify and the
     file's adjoint runs."""
     params = parse_presentation(path.read_text()).params
-    # a file without parameters still takes a rational target; the
-    # assignment is then unused
+    # a file without parameters still gets a rational run, which shows
+    # that an assignment to an undeclared name is refused
     names = params or ("q",)
     rational = [a for name, v in zip(names, PRIMES) for a in ("--param", f"{name}={v}")]
     minus = [a for name in params for a in ("--param", f"{name}=-1")]
