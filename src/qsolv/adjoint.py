@@ -192,32 +192,30 @@ def _conjugation_weight(p, xidx, key):
 
 
 def _root_candidates(p, xidx, coord_maps):
-    weights = {}
+    """The units 1, w, w^-1 and u*v^-1 over the conjugation weights, and
+    every commutation scalar and q_i with its inverse, smallest first.
+
+    Units are handled as (sign, exps) keys, so each weight is inverted
+    once and a repeated candidate builds nothing."""
+    weights = set()
     for terms in coord_maps:
         for key in terms:
             u = _conjugation_weight(p, xidx, key)
-            weights[(u.sign, u.exps)] = u
-    pool = {}
-
-    def put(u):
-        pool[(u.sign, u.exps)] = u
-
-    put(UnitMonomial.one(p.params))
-    ws = list(weights.values())
-    for u in ws:
-        put(u)
-        put(u.inverse())
-    for u in ws:
-        for v in ws:
-            put(u * v.inverse())
-    for u in list(p.qmat.values()) + list(p.qskew):
-        put(u)
-        put(u.inverse())
-    ordered = sorted(
-        pool.values(),
-        key=lambda u: (sum(abs(e) for e in u.exps), u.exps, -u.sign),
+            weights.add((u.sign, u.exps))
+    inverses = [(s, tuple(-e for e in exps)) for s, exps in weights]
+    pool = {(1, (0,) * len(p.params))}
+    pool.update(weights, inverses)
+    pool.update(
+        (su * sv, tuple(a + b for a, b in zip(eu, ev)))
+        for su, eu in weights for sv, ev in inverses
     )
-    return ordered
+    scalars = {(u.sign, u.exps) for u in (*p.qmat.values(), *p.qskew)}
+    pool.update(scalars)
+    pool.update((s, tuple(-e for e in exps)) for s, exps in scalars)
+    ordered = sorted(
+        pool, key=lambda k: (sum(map(abs, k[1])), k[1], -k[0])
+    )
+    return [UnitMonomial(p.params, s, exps) for s, exps in ordered]
 
 
 def ad_minimal_polynomial(p, xidx, a, degree_cap=16):
