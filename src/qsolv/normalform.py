@@ -70,6 +70,17 @@ class NFElement:
                 clean[key] = coef
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _make(cls, pres, terms):
+        """Trusted constructor for results that are already clean: keys
+        int tuples of width n+m with no negative polynomial exponent,
+        coefficients nonzero LaurentPoly or FracElem values.  It checks
+        none of that."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "pres", pres)
+        object.__setattr__(self, "terms", terms)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("NFElement is immutable")
 
@@ -118,14 +129,11 @@ class NFElement:
         self._check(other)
         terms = dict(self.terms)
         for key, coef in other.terms.items():
-            if key in terms:
-                terms[key] = terms[key] + coef
-            else:
-                terms[key] = coef
-        return NFElement(self.pres, terms)
+            _accumulate(terms, key, coef)
+        return NFElement._make(self.pres, terms)
 
     def __neg__(self):
-        return NFElement(self.pres, {k: -c for k, c in self.terms.items()})
+        return NFElement._make(self.pres, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, NFElement):
@@ -404,7 +412,7 @@ def nf_mul(left, right, budget=DEFAULT_BUDGET):
                 terms = _times_kblock(pres, terms, s2)
             for key, c in terms.items():
                 _accumulate(out, key, c)
-    return NFElement(pres, out)
+    return NFElement._make(pres, out)
 
 
 # -- skew actions -------------------------------------------------------

@@ -3,7 +3,8 @@
 The coefficient ring is the Laurent polynomial ring over Q in a fixed,
 ordered tuple of parameter names.  Three value types live here:
 
-* LaurentPoly  -- ring elements, dict of exponent vector -> Fraction;
+* LaurentPoly  -- ring elements, dict of exponent vector -> coefficient,
+  an int while it is integral and a Fraction once a denominator appears;
 * UnitMonomial -- the distinguished units (+-1 times a parameter monomial)
   that appear as commutation scalars;
 * FracElem     -- elements of the fraction field, normalized by removing
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import add as _add
 
 from . import intlinalg
 from .errors import QsolvError
@@ -63,12 +65,21 @@ class FrozenRecord:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-def _as_fraction(value):
+def _as_coef(value):
+    """A rational value as a stored coefficient: an int when integral."""
     if isinstance(value, Fraction):
-        return value
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise TypeError(f"expected a rational value, got {value!r}")
+
+
+def _quotient(a, b):
+    """The exact quotient a / b of coefficients, never a float."""
+    if a.__class__ is int and b.__class__ is int and not a % b:
+        return a // b
+    q = Fraction(a, b)
+    return q.numerator if q.denominator == 1 else q
 
 
 class LaurentPoly:
@@ -86,7 +97,7 @@ class LaurentPoly:
         width = len(self.params)
         clean = {}
         for exps, coef in terms.items():
-            coef = _as_fraction(coef)
+            coef = _as_coef(coef)
             if not coef:
                 continue
             exps = tuple(int(e) for e in exps)
@@ -94,6 +105,16 @@ class LaurentPoly:
                 raise ValueError("exponent vector width does not match params")
             clean[exps] = coef
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _make(cls, params, terms):
+        """Trusted constructor for results that are already clean: params
+        a tuple, keys int tuples of its width, coefficients nonzero int or
+        Fraction.  It checks none of that."""
+        self = object.__new__(cls)
+        _set_field(self, "params", params)
+        _set_field(self, "terms", terms)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -106,23 +127,24 @@ class LaurentPoly:
 
     @classmethod
     def one(cls, params):
-        return cls.const(params, 1)
+        params = tuple(params)
+        return cls._make(params, {(0,) * len(params): 1})
 
     @classmethod
     def const(cls, params, value):
         params = tuple(params)
-        return cls(params, {(0,) * len(params): _as_fraction(value)})
+        return cls(params, {(0,) * len(params): value})
 
     @classmethod
     def monomial(cls, params, exps, coef=1):
-        return cls(params, {tuple(exps): _as_fraction(coef)})
+        return cls(params, {tuple(exps): coef})
 
     @classmethod
     def var(cls, params, name, power=1):
         params = tuple(params)
         idx = params.index(name)
         exps = tuple(power if i == idx else 0 for i in range(len(params)))
-        return cls(params, {exps: Fraction(1)})
+        return cls(params, {exps: 1})
 
     # -- basic queries ------------------------------------------------
 
@@ -130,19 +152,23 @@ class LaurentPoly:
         return not self.terms
 
     def is_one(self):
-        return self.terms == {(0,) * len(self.params): Fraction(1)}
+        if len(self.terms) != 1:
+            return False
+        (exps, coef), = self.terms.items()
+        return coef == 1 and not any(exps)
 
     def __bool__(self):
         return bool(self.terms)
 
     def constant_value(self):
-        """The rational value of a constant polynomial, else None."""
+        """The rational value of a constant polynomial, as a Fraction,
+        else None."""
         if not self.terms:
             return _ZERO
         if len(self.terms) == 1:
             exps, coef = next(iter(self.terms.items()))
             if not any(exps):
-                return coef
+                return Fraction(coef)
         return None
 
     def as_unit_monomial(self):
@@ -183,22 +209,26 @@ class LaurentPoly:
         return None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not LaurentPoly or other.params is not self.params:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        if not other.terms:
+            return self
         terms = dict(self.terms)
+        get = terms.get
         for exps, coef in other.terms.items():
-            new = terms.get(exps, _ZERO) + coef
+            new = get(exps, 0) + coef
             if new:
                 terms[exps] = new
             else:
-                terms.pop(exps, None)
-        return LaurentPoly(self.params, terms)
+                del terms[exps]
+        return LaurentPoly._make(self.params, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(
+        return LaurentPoly._make(
             self.params, {e: -c for e, c in self.terms.items()}
         )
 
@@ -215,19 +245,35 @@ class LaurentPoly:
         return other + (-self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not LaurentPoly or other.params is not self.params:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        small, big = self, other
+        if len(small.terms) > len(big.terms):
+            small, big = big, small
+        if len(small.terms) == 1:
+            # a monomial factor shifts the exponents and scales
+            (shift, scale), = small.terms.items()
+            if not any(shift):
+                if scale == 1:
+                    return big
+                if scale == -1:
+                    return -big
+                terms = {e: c * scale for e, c in big.terms.items()}
+            else:
+                terms = {tuple(map(_add, e, shift)): c * scale
+                         for e, c in big.terms.items()}
+            return LaurentPoly._make(self.params, terms)
         terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                new = terms.get(exps, _ZERO) + c1 * c2
-                if new:
-                    terms[exps] = new
-                else:
-                    terms.pop(exps, None)
-        return LaurentPoly(self.params, terms)
+        get = terms.get
+        for e1, c1 in small.terms.items():
+            for e2, c2 in big.terms.items():
+                exps = tuple(map(_add, e1, e2))
+                terms[exps] = get(exps, 0) + c1 * c2
+        return LaurentPoly._make(
+            self.params, {e: c for e, c in terms.items() if c}
+        )
 
     __rmul__ = __mul__
 
@@ -263,13 +309,13 @@ class LaurentPoly:
 
     def divide_content(self, ratio, exps):
         """Exact division by the unit ratio * X^exps."""
-        ratio = _as_fraction(ratio)
+        ratio = _as_coef(ratio)
         if not ratio:
             raise ZeroDivisionError("zero content")
-        return LaurentPoly(
+        return LaurentPoly._make(
             self.params,
             {
-                tuple(a - b for a, b in zip(e, exps)): c / ratio
+                tuple(a - b for a, b in zip(e, exps)): _quotient(c, ratio)
                 for e, c in self.terms.items()
             },
         )
@@ -327,21 +373,21 @@ class LaurentPoly:
         quot = {}
         for _ in range(bound):
             if not rem:
-                return LaurentPoly(self.params, quot)
+                return LaurentPoly._make(self.params, quot)
             lead = min(rem)
             t_exps = tuple(a - b for a, b in zip(lead, div_lead))
             if any(t < l or t > h for t, l, h in zip(t_exps, lo, hi)):
                 return None
-            t_coef = rem[lead] / div_coef
+            t_coef = _quotient(rem[lead], div_coef)
             quot[t_exps] = t_coef
             for e, c in divisor.terms.items():
                 key = tuple(a + b for a, b in zip(t_exps, e))
-                new = rem.get(key, _ZERO) - t_coef * c
+                new = rem.get(key, 0) - t_coef * c
                 if new:
                     rem[key] = new
                 else:
                     rem.pop(key, None)
-        return LaurentPoly(self.params, quot) if not rem else None
+        return LaurentPoly._make(self.params, quot) if not rem else None
 
     # -- evaluation ---------------------------------------------------
 
@@ -350,7 +396,7 @@ class LaurentPoly:
 
         ``values`` maps every parameter name to a value supporting +, *,
         and ** with possibly negative integer exponents (Fraction,
-        cyclotomic numbers, ...).  Coefficients multiply in as Fractions.
+        cyclotomic numbers, ...).  A rational result is a Fraction.
         """
         missing = [p for p in self.params if p not in values]
         if missing:
@@ -363,8 +409,8 @@ class LaurentPoly:
                     term = term * values[name] ** e
             total = term if total is None else total + term
         if total is None:
-            return Fraction(0)
-        return total
+            return _ZERO
+        return Fraction(total) if total.__class__ is int else total
 
     # -- display ------------------------------------------------------
 
@@ -469,7 +515,8 @@ class UnitMonomial(FrozenRecord):
         return self.pow(-1)
 
     def as_poly(self):
-        return LaurentPoly.monomial(self.params, self.exps, self.sign)
+        # params and exps are tuples, as hashing a unit already needs
+        return LaurentPoly._make(self.params, {self.exps: self.sign})
 
     # additive mixes leave the unit group, so they land in LaurentPoly
     def __add__(self, other):

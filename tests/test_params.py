@@ -187,3 +187,64 @@ def test_as_field_element():
     assert as_field_element(q(), P) == FracElem(q())
     u = UnitMonomial.var(P, "q", -1)
     assert as_field_element(u, P) == FracElem(u.as_poly())
+
+
+def test_rational_values_leave_as_fractions():
+    # coefficients are stored as int while integral; every number that
+    # leaves the coefficient layer is still a Fraction, never an int that
+    # a later true division would turn into a float
+    from qsolv import NFElement, SpecTarget, quantum_plane
+    from qsolv.special import _eval_coef
+
+    three = LaurentPoly.const(P, 3)
+    assert type(three.terms[(0,)]) is int
+    at_two = SpecTarget.rational({"q": Fraction(2)})
+    values = [
+        three.constant_value(),
+        LaurentPoly.zero(P).constant_value(),
+        three.eval_map({"q": Fraction(2)}),
+        three.eval_map({"q": 2}),
+        (q() * 3 + 1).eval_map({"q": Fraction(2)}),
+        LaurentPoly.zero(P).eval_map({"q": 2}),
+        (q() * 4 - 6).content()[0],
+        _eval_coef(three, at_two),
+        _eval_coef(FracElem(three), at_two),
+        _eval_coef(FracElem(q() + 1, q() - 1), SpecTarget.rational({"q": 3})),
+        NFElement(quantum_plane(), {(0, 0): three}).constant_value(),
+    ]
+    assert values == [3, 0, 3, 3, 7, 0, 2, 3, 3, 2, 3]
+    assert [type(v) for v in values] == [Fraction] * len(values)
+
+
+def test_exact_division_never_gives_a_float():
+    two_q = q() * 2 + 2
+    half = (q() * 3 + 3).try_div(two_q)
+    assert half.terms == {(0,): Fraction(3, 2)}
+    assert type(half.terms[(0,)]) is Fraction
+    assert (q() * 6 - 3).divide_content(3, (0,)).terms == {(1,): 2, (0,): -1}
+    for poly in [two_q.try_div(q() + 1), (q() * 6 - 3).divide_content(3, (0,)),
+                 two_q.try_div(LaurentPoly.const(P, 2)), (q() * 6).primitive()]:
+        assert all(type(c) is int for c in poly.terms.values()), poly
+    quotient = (q() * 3).divide_content(Fraction(3, 2), (1,))
+    assert quotient.terms == {(0,): 2} and type(quotient.terms[(0,)]) is int
+
+
+def test_weyl_product_builds_no_fraction(monkeypatch):
+    # weyl1 y^8 * x^8 (64 table fills) has only integer coefficients, so
+    # the int-first kernel builds no Fraction for it
+    from qsolv import nf_mul, quantum_weyl
+
+    w = quantum_weyl(1)
+    left, right = w.gen_power(1, 8), w.gen_power(0, 8)
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    product = nf_mul(left, right)
+    monkeypatch.undo()
+    assert len(product.terms) == 9
+    assert len(built) == 0
