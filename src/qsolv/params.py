@@ -312,6 +312,9 @@ class LaurentPoly:
         ratio = _as_coef(ratio)
         if not ratio:
             raise ZeroDivisionError("zero content")
+        exps = tuple(int(e) for e in exps)
+        if len(exps) != len(self.params):
+            raise ValueError("exponent vector width does not match params")
         return LaurentPoly._make(
             self.params,
             {
@@ -453,7 +456,8 @@ class UnitMonomial(FrozenRecord):
     """A unit of the coefficient ring of the form +-1 * prod params^e.
 
     These are exactly the scalars allowed in commutation data; keeping
-    the sign explicit lets the torsion check reason about -1.
+    the sign explicit lets the torsion check reason about -1.  params is
+    a tuple of names and exps a tuple of ints of the same width.
     """
 
     _fields = ("params", "sign", "exps")
@@ -515,7 +519,6 @@ class UnitMonomial(FrozenRecord):
         return self.pow(-1)
 
     def as_poly(self):
-        # params and exps are tuples, as hashing a unit already needs
         return LaurentPoly._make(self.params, {self.exps: self.sign})
 
     # additive mixes leave the unit group, so they land in LaurentPoly

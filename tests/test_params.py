@@ -227,6 +227,9 @@ def test_exact_division_never_gives_a_float():
         assert all(type(c) is int for c in poly.terms.values()), poly
     quotient = (q() * 3).divide_content(Fraction(3, 2), (1,))
     assert quotient.terms == {(0,): 2} and type(quotient.terms[(0,)]) is int
+    # the trusted constructor behind divide_content gets checked exponents
+    with pytest.raises(ValueError):
+        (q() * 3).divide_content(3, ())
 
 
 def test_weyl_product_builds_no_fraction(monkeypatch):
