@@ -8,12 +8,18 @@ import pytest
 from qsolv import (
     FracElem,
     LaurentPoly,
+    NFElement,
     QsolvError,
+    SpecTarget,
     UnitMonomial,
     as_field_element,
     gamma_torsionfree,
+    nf_mul,
+    quantum_plane,
+    quantum_weyl,
     unit_product,
 )
+from qsolv.special import _eval_coef
 
 P = ("q",)
 P2 = ("c", "r")
@@ -193,9 +199,6 @@ def test_rational_values_leave_as_fractions():
     # coefficients are stored as int while integral; every number that
     # leaves the coefficient layer is still a Fraction, never an int that
     # a later true division would turn into a float
-    from qsolv import NFElement, SpecTarget, quantum_plane
-    from qsolv.special import _eval_coef
-
     three = LaurentPoly.const(P, 3)
     assert type(three.terms[(0,)]) is int
     at_two = SpecTarget.rational({"q": Fraction(2)})
@@ -235,8 +238,6 @@ def test_exact_division_never_gives_a_float():
 def test_weyl_product_builds_no_fraction(monkeypatch):
     # weyl1 y^8 * x^8 (64 table fills) has only integer coefficients, so
     # the int-first kernel builds no Fraction for it
-    from qsolv import nf_mul, quantum_weyl
-
     w = quantum_weyl(1)
     left, right = w.gen_power(1, 8), w.gen_power(0, 8)
     built = []
