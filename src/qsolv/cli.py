@@ -28,7 +28,7 @@ from .errors import (
     SpecializationError,
 )
 from .normalform import nf_mul
-from .params import LaurentPoly, UnitMonomial
+from .params import LaurentPoly, UnitMonomial, monomial_text, signed_sum, term_text
 from .presentation import Presentation, validate_presentation
 
 # -- tokenizer --------------------------------------------------------------
@@ -433,38 +433,12 @@ def parse_element(p, text):
 
 def _poly_terms_str(p, terms):
     """Tail payload in the file grammar, deterministically ordered."""
-    parts = []
-    for key in sorted(terms):
-        coef = terms[key]
-        for exps in sorted(coef.terms, reverse=True):
-            ratio = coef.terms[exps]
-            factors = []
-            for name, e in zip(p.params, exps):
-                factors.append(name if e == 1 else f"{name}^{e}" if e else None)
-            for pos, e in enumerate(key):
-                if e:
-                    gname = p.gens[pos]
-                    factors.append(gname if e == 1 else f"{gname}^{e}")
-            factors = [f for f in factors if f]
-            body = "*".join(factors)
-            if not body:
-                piece = str(ratio)
-            elif ratio == 1:
-                piece = body
-            elif ratio == -1:
-                piece = f"-{body}"
-            else:
-                piece = f"{ratio}*{body}"
-            parts.append(piece)
-    out = ""
-    for piece in parts:
-        if not out:
-            out = piece
-        elif piece.startswith("-"):
-            out += " - " + piece[1:]
-        else:
-            out += " + " + piece
-    return out or "0"
+    names = p.params + p.gens
+    return signed_sum(
+        term_text(str(coef.terms[exps]), monomial_text(names, exps + key))
+        for key, coef in sorted(terms.items())
+        for exps in sorted(coef.terms, reverse=True)
+    )
 
 
 def print_presentation(p):
@@ -577,6 +551,8 @@ def _minpoly_str(coeffs):
 def _cmd_adjoint(args, out, report):
     from .adjoint import ad_eigencomponents
 
+    if args.degree_cap < 0:
+        raise ParseError("--degree-cap must be nonnegative", 0, 0)
     p = parse_presentation(_load(args.file))
     try:
         xidx = p.position(args.xgen)
@@ -700,6 +676,8 @@ def _parse_assignments(pairs):
         name, _, raw = pair.partition("=")
         name = name.strip()
         raw = raw.strip()
+        if name in values:
+            raise ParseError(f"--param gives {name!r} more than once", 0, 0)
         try:
             if "/" in raw:
                 num, den = raw.split("/")

@@ -28,7 +28,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import QsolvError, RewriteBudgetError
-from .params import FracElem, LaurentPoly, UnitMonomial, normal_scalar, unit_product
+from .params import (
+    FracElem, LaurentPoly, UnitMonomial, monomial_text, normal_scalar, signed_sum,
+    term_text, unit_product,
+)
 
 DEFAULT_BUDGET = 10**6
 
@@ -171,46 +174,22 @@ class NFElement:
 
     # -- display ---------------------------------------------------------
 
-    def _monomial_str(self, key):
-        factors = []
-        for pos, e in enumerate(key):
-            if not e:
-                continue
-            name = self.pres.gens[pos]
-            factors.append(name if e == 1 else f"{name}^{e}")
-        return "*".join(factors)
-
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
+        pieces = []
         for key in sorted(self.terms):
             coef = self.terms[key]
-            mono = self._monomial_str(key)
+            mono = monomial_text(self.pres.gens, key)
             cs = str(coef)
-            if mono:
-                if cs == "1":
-                    body = mono
-                elif cs == "-1":
-                    body = f"-{mono}"
-                else:
-                    if isinstance(coef, LaurentPoly) and len(coef.terms) > 1:
-                        cs = f"({cs})"
-                    elif isinstance(coef, FracElem) and not (
-                        coef.den.is_one() and len(coef.num.terms) <= 1
-                    ):
-                        cs = f"({cs})"
-                    body = f"{cs}*{mono}"
-            else:
-                body = cs
-            if parts:
-                if body.startswith("-"):
-                    parts.append(" - " + body[1:])
-                else:
-                    parts.append(" + " + body)
-            else:
-                parts.append(body)
-        return "".join(parts)
+            # a coefficient that is a sum or a quotient is bracketed when
+            # a monomial follows it
+            if mono and (
+                isinstance(coef, LaurentPoly) and len(coef.terms) > 1
+                or isinstance(coef, FracElem)
+                and not (coef.den.is_one() and len(coef.num.terms) <= 1)
+            ):
+                cs = f"({cs})"
+            pieces.append(term_text(cs, mono))
+        return signed_sum(pieces)
 
     def __repr__(self):
         return f"NFElement({self})"

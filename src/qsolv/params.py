@@ -82,6 +82,42 @@ def _quotient(a, b):
     return q.numerator if q.denominator == 1 else q
 
 
+# -- text forms shared by every printer ---------------------------------------
+
+def monomial_text(names, exps):
+    """``name^e`` factors joined by ``*``: zero exponents are dropped and
+    exponent 1 stays implicit, so the constant monomial prints as ``""``."""
+    return "*".join(
+        name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e
+    )
+
+
+def term_text(coef_text, body):
+    """A coefficient times a monomial; a coefficient 1 or -1 stays
+    implicit unless the monomial is constant."""
+    if not body:
+        return coef_text
+    if coef_text == "1":
+        return body
+    if coef_text == "-1":
+        return f"-{body}"
+    return f"{coef_text}*{body}"
+
+
+def signed_sum(pieces):
+    """Terms joined by " + ", with a leading minus folded into " - ";
+    the empty sum is "0"."""
+    out = ""
+    for piece in pieces:
+        if not out:
+            out = piece
+        elif piece.startswith("-"):
+            out += " - " + piece[1:]
+        else:
+            out += " + " + piece
+    return out or "0"
+
+
 class LaurentPoly:
     """Laurent polynomial over Q in named parameters.
 
@@ -417,36 +453,11 @@ class LaurentPoly:
 
     # -- display ------------------------------------------------------
 
-    def _term_str(self, exps, coef):
-        factors = []
-        for name, e in zip(self.params, exps):
-            if e == 1:
-                factors.append(name)
-            elif e:
-                factors.append(f"{name}^{e}")
-        if not factors:
-            return str(coef)
-        body = "*".join(factors)
-        if coef == 1:
-            return body
-        if coef == -1:
-            return f"-{body}"
-        return f"{coef}*{body}"
-
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for exps in sorted(self.terms, reverse=True):
-            s = self._term_str(exps, self.terms[exps])
-            if parts:
-                if s.startswith("-"):
-                    parts.append(" - " + s[1:])
-                else:
-                    parts.append(" + " + s)
-            else:
-                parts.append(s)
-        return "".join(parts)
+        return signed_sum(
+            term_text(str(self.terms[exps]), monomial_text(self.params, exps))
+            for exps in sorted(self.terms, reverse=True)
+        )
 
     def __repr__(self):
         return f"LaurentPoly({self})"
@@ -538,16 +549,7 @@ class UnitMonomial(FrozenRecord):
         return UnitMonomial(self.params, -self.sign, self.exps)
 
     def __str__(self):
-        factors = []
-        for name, e in zip(self.params, self.exps):
-            if e == 1:
-                factors.append(name)
-            elif e:
-                factors.append(f"{name}^{e}")
-        body = "*".join(factors)
-        if not body:
-            return "1" if self.sign > 0 else "-1"
-        return body if self.sign > 0 else f"-{body}"
+        return term_text(str(self.sign), monomial_text(self.params, self.exps))
 
     def __repr__(self):
         return f"UnitMonomial({self})"
@@ -677,16 +679,8 @@ class FracElem:
         return not self.num.is_zero()
 
     def _coerce(self, other):
-        if isinstance(other, FracElem):
-            if other.params != self.params:
-                raise ValueError("parameter tuples differ")
-            return other
-        if isinstance(other, (LaurentPoly, UnitMonomial, int, Fraction)):
-            if isinstance(other, UnitMonomial):
-                other = other.as_poly()
-            elif isinstance(other, (int, Fraction)):
-                other = LaurentPoly.const(self.params, other)
-            return FracElem(other)
+        if isinstance(other, (FracElem, LaurentPoly, UnitMonomial, int, Fraction)):
+            return as_field_element(other, self.params)
         return None
 
     def __add__(self, other):

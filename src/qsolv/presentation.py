@@ -154,9 +154,6 @@ class Presentation:
         except KeyError:
             raise PresentationError(f"unknown generator {name!r}") from None
 
-    def is_poly(self, pos):
-        return pos < self.n
-
     def commutation_unit(self, a, b):
         """Scalar u with g_a g_b = u * g_b g_a (any order of a, b)."""
         return self._cu[a][b]

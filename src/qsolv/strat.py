@@ -226,12 +226,8 @@ def stratify_rank2(f=0):
     if not (left.is_zero() and right.is_zero()):
         raise QsolvError("normality of u = x*y - y*x failed; rewrite bug")
 
-    tail = LaurentPoly.zero(p.params)
-    for (i, j), terms in p.tails.items():
-        for key, coef in terms.items():
-            if any(key):
-                raise FamilyError("rank-2 stratification needs a scalar tail")
-            tail = tail + coef
+    # rank2 stores a nonzero f as the scalar tail of (x, y), and f = 0 as none
+    tail = p.tails.get((0, 1), {}).get((0, 0), LaurentPoly.zero(p.params))
     roots, residual = rational_roots(tail)
     exceptional = sorted(set(roots) | {Fraction(1)})
 

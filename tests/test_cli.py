@@ -211,6 +211,17 @@ def test_adjoint_unknown_generator(tmp_path, capsys):
     assert "unknown" in capsys.readouterr().err
 
 
+def test_adjoint_rejects_negative_degree_cap(tmp_path, capsys):
+    path = write_presentation(tmp_path, quantum_weyl(1), "weyl")
+    assert run_command(["adjoint", path, "y", "x", "--degree-cap", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --degree-cap must be nonnegative\n"
+    # a zero cap is valid input; the search just finds no dependence
+    assert run_command(["adjoint", path, "y", "x", "--degree-cap", "0"]) == 1
+    capsys.readouterr()
+
+
 def test_adjoint_repeated_eigenvalue(tmp_path, capsys):
     jordan = tmp_path / "jordan.alg"
     jordan.write_text("algebra J\nparams q\ngens x poly, y poly\ntail x y : 1\n")
@@ -349,6 +360,17 @@ def test_specialize_rejects_undeclared_parameters(plane_file, capsys, args):
     assert captured.err == (
         f"error: unknown parameter {name!r} in --param; declared parameters: q\n"
     )
+
+
+@pytest.mark.parametrize("args", [
+    ["--param", "q=2", "--param", "q=3"],
+    ["--root-of-unity", "6", "--param", "q=1", "--param", " q = 5"],
+])
+def test_specialize_rejects_repeated_parameters(plane_file, capsys, args):
+    assert run_command(["specialize", plane_file, *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --param gives 'q' more than once\n"
 
 
 def test_specialize_without_parameters_rejects_any_assignment(tmp_path, capsys):
