@@ -13,7 +13,9 @@ from __future__ import annotations
 from . import densepoly
 from .errors import AdRootError, LocalizationError, RepeatedRootError
 from .normalform import NFElement, nf_mul
-from .params import FracElem, LaurentPoly, UnitMonomial, as_field_element, unit_product
+from .params import (
+    FracElem, Frozen, LaurentPoly, UnitMonomial, as_field_element, unit_product,
+)
 
 
 def _check_site(p, xidx):
@@ -46,7 +48,7 @@ def _divide_right_once(p, xidx, elem):
     return NFElement(p, out)
 
 
-class LocElement:
+class LocElement(Frozen):
     """An element num * x^(-d) of the algebra localized at one generator.
 
     Kept normalized: while d > 0 and every numerator term is exactly
@@ -72,9 +74,6 @@ class LocElement:
         object.__setattr__(self, "xidx", xidx)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "dpow", dpow)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LocElement is immutable")
 
     def is_zero(self):
         return self.num.is_zero()

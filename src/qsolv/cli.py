@@ -554,6 +554,7 @@ def _cmd_adjoint(args, out, report):
     if args.degree_cap < 0:
         raise ParseError("--degree-cap must be nonnegative", 0, 0)
     p = parse_presentation(_load(args.file))
+    report.append(("algebra", p.name))
     try:
         xidx = p.position(args.xgen)
     except PresentationError:
@@ -565,7 +566,6 @@ def _cmd_adjoint(args, out, report):
         out.append(f"repeated eigenvalue {exc.root}; no spectral split")
         report.append(("repeated_root", str(exc.root)))
         return 1
-    report.append(("algebra", p.name))
     report.append(("degree", str(spec.degree)))
     out.append(f"minimal polynomial: {_minpoly_str(spec.minpoly)}")
     report.append(("minpoly", _minpoly_str(spec.minpoly)))
@@ -606,43 +606,20 @@ def _cmd_center(args, out, report):
     return 0
 
 
-def _rank2_tail(p):
-    """The scalar tail when the presentation is the rank-2 single-tail
-    family, else None."""
-    if p.n != 2 or p.m != 0 or len(p.params) != 1 or len(p.tails) != 1:
-        return None
-    terms = p.tails.get((0, 1))
-    if terms is None or any(any(key) for key in terms):
-        return None
-    q = UnitMonomial.var(p.params, p.params[0])
-    if p.commutation_unit(0, 1) != q:
-        return None
-    tail = LaurentPoly.zero(p.params)
-    for coef in terms.values():
-        tail = tail + coef
-    return tail
-
-
 def _cmd_stratify(args, out, report):
     from .strat import stratify_affine, stratify_rank2
 
     p = parse_presentation(_load(args.file))
     report.append(("algebra", p.name))
     if p.has_tails:
-        tail = _rank2_tail(p)
-        if tail is None:
-            raise FamilyError(
-                "stratification supports tail-free presentations and the "
-                "rank-2 single-tail family only"
-            )
-        rs = stratify_rank2(tail)
+        rs = stratify_rank2(p)
         out.append(f"u = {rs.uNormalForm}")
         excl = ", ".join(str(v) for v in rs.exceptionalSet)
         out.append(f"exceptional parameter values: {{{excl}}}")
         if rs.residualFactor is not None:
             out.append(f"residual factor: {rs.residualFactor}")
         if rs.weylAtOne:
-            out.append("at q = 1 the fiber is a Weyl algebra")
+            out.append(f"at {p.params[0]} = 1 the fiber is a Weyl algebra")
         for s in rs.strata:
             out.append(f"{s.label}: {s.description}")
         report.append(("u", str(rs.uNormalForm)))
@@ -701,6 +678,8 @@ def _cmd_specialize(args, out, report):
                 f"{', '.join(p.params) or 'none'}", 0, 0,
             )
     if args.root_of_unity is not None:
+        if args.root_of_unity < 1:
+            raise ParseError("--root-of-unity must be positive", 0, 0)
         exponents = {}
         for name, v in values.items():
             if v.denominator != 1:

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .errors import QsolvError, RewriteBudgetError
 from .params import (
-    FracElem, LaurentPoly, UnitMonomial, monomial_text, normal_scalar, signed_sum,
+    FracElem, Frozen, LaurentPoly, UnitMonomial, monomial_text, normal_scalar, signed_sum,
     term_text, unit_product,
 )
 
@@ -46,7 +46,7 @@ def _coerce_coef(pres, value):
     raise TypeError(f"cannot use {value!r} as a coefficient")
 
 
-class NFElement:
+class NFElement(Frozen):
     """An algebra element in PBW normal form.
 
     terms maps exponent keys (tuples of length n+m) to nonzero
@@ -83,9 +83,6 @@ class NFElement:
         object.__setattr__(self, "pres", pres)
         object.__setattr__(self, "terms", terms)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NFElement is immutable")
 
     # -- queries -------------------------------------------------------
 

@@ -28,13 +28,51 @@ _ZERO = Fraction(0)
 _set_field = object.__setattr__
 
 
-class FrozenRecord:
-    """Base of the small immutable value classes.
+class Frozen:
+    """Base of every immutable value class.
+
+    Instances refuse assignment and deletion, as frozen dataclasses do;
+    a constructor writes each field once through ``_set_field``.  It
+    declares no fields, so a subclass with ``__slots__`` has no
+    ``__dict__``.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ExactValue(Frozen):
+    """A frozen value whose ``_coerce`` brings an operand into its own
+    class, or returns None for a foreign one; subtraction follows from
+    ``+`` and unary ``-``."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
+
+
+class FrozenRecord(Frozen):
+    """Base of the small immutable records.
 
     A subclass lists its fields in ``_fields`` and sets each once in its
     ``__init__`` through ``_init``.  Records of one class compare and hash
-    as the tuple of their fields, print as ``Name(field=value, ...)`` and
-    refuse assignment and deletion, as frozen dataclasses do.
+    as the tuple of their fields and print as ``Name(field=value, ...)``.
+    They keep their fields in the instance ``__dict__``.
     """
 
     _fields = ()
@@ -57,12 +95,6 @@ class FrozenRecord:
     def __repr__(self):
         body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({body})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _as_coef(value):
@@ -118,7 +150,7 @@ def signed_sum(pieces):
     return out or "0"
 
 
-class LaurentPoly:
+class LaurentPoly(ExactValue):
     """Laurent polynomial over Q in named parameters.
 
     Exponent vectors are tuples of ints aligned with ``params``; negative
@@ -151,9 +183,6 @@ class LaurentPoly:
         _set_field(self, "params", params)
         _set_field(self, "terms", terms)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
 
     # -- constructors -------------------------------------------------
 
@@ -267,18 +296,6 @@ class LaurentPoly:
         return LaurentPoly._make(
             self.params, {e: -c for e, c in self.terms.items()}
         )
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other):
         if other.__class__ is not LaurentPoly or other.params is not self.params:
@@ -627,7 +644,7 @@ def gamma_torsionfree(generators):
     return True
 
 
-class FracElem:
+class FracElem(ExactValue):
     """Element of the fraction field of the coefficient ring.
 
     The denominator is kept primitive (rational and monomial content
@@ -665,9 +682,6 @@ class FracElem:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FracElem is immutable")
-
     @property
     def params(self):
         return self.num.params
@@ -697,18 +711,6 @@ class FracElem:
 
     def __neg__(self):
         return FracElem(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other):
         other = self._coerce(other)

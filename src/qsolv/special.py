@@ -16,7 +16,7 @@ from math import gcd
 from . import densepoly
 from .errors import SpecializationError
 from .normalform import nf_mul
-from .params import FracElem, LaurentPoly, UnitMonomial, gamma_torsionfree
+from .params import ExactValue, FracElem, LaurentPoly, UnitMonomial, gamma_torsionfree
 from .presentation import (
     Finding,
     ValidationReport,
@@ -56,7 +56,7 @@ def cyclotomic_polynomial(N):
     return result
 
 
-class CycNumber:
+class CycNumber(ExactValue):
     """An element of Q(zeta_N), stored as a residue modulo the N-th
     cyclotomic polynomial."""
 
@@ -70,9 +70,6 @@ class CycNumber:
         dense += [Fraction(0)] * (len(phi) - 1 - len(dense))
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "vec", tuple(dense))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CycNumber is immutable")
 
     @classmethod
     def const(cls, N, value):
@@ -108,18 +105,6 @@ class CycNumber:
 
     def __neg__(self):
         return CycNumber(self.N, [-a for a in self.vec])
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -222,13 +207,7 @@ class SpecTarget:
 
     @classmethod
     def cyclotomic(cls, order, exponents):
-        if order < 1:
-            raise SpecializationError("root-of-unity order must be positive")
-        if order > MAX_CYCLOTOMIC_ORDER:
-            raise SpecializationError(
-                f"root-of-unity order {order} exceeds the supported bound "
-                f"{MAX_CYCLOTOMIC_ORDER}"
-            )
+        cyclotomic_polynomial(order)  # rejects an unsupported order
         exps = {name: int(e) % order for name, e in dict(exponents).items()}
         return cls("cyclotomic", order=order, exponents=exps)
 

@@ -20,8 +20,8 @@ from math import isqrt
 from . import densepoly
 from .errors import FamilyError, QsolvError
 from .normalform import nf_mul
-from .params import FrozenRecord, LaurentPoly
-from .presentation import rank2
+from .params import FrozenRecord, LaurentPoly, UnitMonomial
+from .presentation import Presentation, rank2
 from .torus import torus_of_presentation
 
 
@@ -209,14 +209,35 @@ def rational_roots(f):
     return roots, residual
 
 
+def _is_rank2(p):
+    """True when p is x*y = q*y*x + f(q) in any names: two polynomial
+    generators, one parameter q, and no tail but the scalar one of x, y."""
+    if p.n != 2 or p.m != 0 or len(p.params) != 1:
+        return False
+    if any(pair != (0, 1) or any(any(key) for key in terms)
+           for pair, terms in p.tails.items()):
+        return False
+    return p.commutation_unit(0, 1) == UnitMonomial.var(p.params, p.params[0])
+
+
 def stratify_rank2(f=0):
     """Strata and exceptional parameter values of x*y = q*y*x + f(q).
 
-    Computes u = x*y - y*x in normal form, checks the normality
-    relations u*y = q*y*u and x*u = q*u*x exactly, and reports the
-    excluded parameter values {1} union the rational roots of f.
+    f is the tail, in any form ``rank2`` takes, or a presentation of the
+    family in its own names.  Computes u = x*y - y*x in normal form,
+    checks the normality relations u*y = q*y*u and x*u = q*u*x exactly,
+    and reports the excluded parameter values {1} union the rational
+    roots of f.
     """
-    p = rank2(f)
+    if isinstance(f, Presentation):
+        p = f
+        if not _is_rank2(p):
+            raise FamilyError(
+                "stratification supports tail-free presentations and the "
+                "rank-2 single-tail family only"
+            )
+    else:
+        p = rank2(f)
     q = p.commutation_unit(0, 1)
     x, y = p.gen(0), p.gen(1)
     u = nf_mul(x, y) - nf_mul(y, x)
@@ -226,7 +247,7 @@ def stratify_rank2(f=0):
     if not (left.is_zero() and right.is_zero()):
         raise QsolvError("normality of u = x*y - y*x failed; rewrite bug")
 
-    # rank2 stores a nonzero f as the scalar tail of (x, y), and f = 0 as none
+    # a nonzero f is the scalar tail of (x, y), and f = 0 leaves no tail
     tail = p.tails.get((0, 1), {}).get((0, 0), LaurentPoly.zero(p.params))
     roots, residual = rational_roots(tail)
     exceptional = sorted(set(roots) | {Fraction(1)})

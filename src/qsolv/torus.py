@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from . import intlinalg
 from .errors import LatticeError
-from .params import UnitMonomial, normal_scalar
+from .params import Frozen, UnitMonomial, normal_scalar
 
 
-class TorusPresentation:
+class TorusPresentation(Frozen):
     """Commutation data p_ij (i < j) for Laurent generators Y_1..Y_n."""
 
     __slots__ = ("rank", "params", "pmat", "_pairs", "_one")
@@ -42,9 +42,6 @@ class TorusPresentation:
         pairs.update(((j, i), unit.inverse()) for (i, j), unit in clean.items())
         object.__setattr__(self, "_pairs", pairs)
         object.__setattr__(self, "_one", UnitMonomial.one(params))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TorusPresentation is immutable")
 
     def pairing(self, i, j):
         """The scalar p_ij with Y_i Y_j = p_ij Y_j Y_i, any index order."""
@@ -77,7 +74,7 @@ def commutation_factor(P, a, b):
     return torus_normal_scalar(P, a, b) * torus_normal_scalar(P, b, a).inverse()
 
 
-class LatticeSubgroup:
+class LatticeSubgroup(Frozen):
     """A subgroup of Z^dim held by its canonical HNF column basis."""
 
     __slots__ = ("dim", "basis")
@@ -85,9 +82,6 @@ class LatticeSubgroup:
     def __init__(self, dim, vectors):
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "basis", intlinalg.hnf_columns(dim, vectors))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LatticeSubgroup is immutable")
 
     @property
     def rank(self):

@@ -229,6 +229,17 @@ def test_adjoint_repeated_eigenvalue(tmp_path, capsys):
     assert "repeated eigenvalue" in capsys.readouterr().out
 
 
+def test_adjoint_repeated_eigenvalue_report(tmp_path, capsys):
+    report = tmp_path / "report.txt"
+    jordan = Path(__file__).parent / "data" / "jordan.alg"
+    args = ["adjoint", str(jordan), "x", "y", "--out", str(report)]
+    assert run_command(args) == 1
+    assert capsys.readouterr().out == "repeated eigenvalue 1; no spectral split\n"
+    assert report.read_text().splitlines() == [
+        "algebra: jordan", "command: adjoint", "repeated_root: 1", "status: 1",
+    ]
+
+
 def test_center_command(tmp_path, capsys):
     torus = tmp_path / "torus.alg"
     torus.write_text(
@@ -269,6 +280,28 @@ def test_stratify_rank2_family(tmp_path, capsys):
     assert "exceptional parameter values: {1, 2, 3}" in out
     assert "at q = 1 the fiber is a Weyl algebra" in out
     assert "M1:" in out and "M2:" in out
+
+
+RANK2_STRATA = [
+    "M1: primes avoiding u; localizing at the normal element u gives a "
+    "twisted Laurent model",
+    "M2: primes containing u; the quotient by u is commutative",
+]
+
+
+@pytest.mark.parametrize("src, lines", [
+    ("params t\ngens x poly, y poly\ncommute x y : t\ntail x y : t - 2\n",
+     ["u = 1 - 2*t^-1 + (1 - t^-1)*x*y", "exceptional parameter values: {1, 2}",
+      "at t = 1 the fiber is a Weyl algebra"]),
+    ("params q\ngens a poly, b poly\ncommute a b : q\ntail a b : q - 2\n",
+     ["u = 1 - 2*q^-1 + (1 - q^-1)*a*b", "exceptional parameter values: {1, 2}",
+      "at q = 1 the fiber is a Weyl algebra"]),
+], ids=["renamed-parameter", "renamed-generators"])
+def test_stratify_rank2_family_in_the_files_names(tmp_path, capsys, src, lines):
+    path = tmp_path / "renamed.alg"
+    path.write_text("algebra renamed\n" + src)
+    assert run_command(["stratify", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == lines + RANK2_STRATA
 
 
 def test_stratify_unsupported_family(tmp_path, capsys):
@@ -327,6 +360,20 @@ def test_specialize_report_has_one_key_per_finding(tmp_path, capsys):
         cond, _, text = line.partition(" ")
         assert key == f"finding.{idx:02d}.{cond}"
         assert value == text.split(": ", 1)[1]
+
+
+def test_specialize_rejects_nonpositive_root_of_unity(plane_file, capsys):
+    for order in ("0", "-6"):
+        assert run_command(["specialize", plane_file, "--root-of-unity", order]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --root-of-unity must be positive\n"
+    # an order above the cyclotomic bound is a limit of the toolkit, not bad input
+    assert run_command(["specialize", plane_file, "--root-of-unity", "65"]) == 1
+    assert capsys.readouterr().err == (
+        "specialization error: root-of-unity order 65 exceeds the supported "
+        "bound 64\n"
+    )
 
 
 def test_specialize_fraction_values(plane_file, capsys):

@@ -163,6 +163,18 @@ def test_rank2_zero_tail():
     assert rs.weylAtOne is False
 
 
+def test_rank2_on_a_presentation_of_the_family():
+    q = qpoly()
+    f = q ** 2 - 5 * q + 6
+    by_tail, by_pres = stratify_rank2(f), stratify_rank2(rank2(f))
+    assert by_pres.uNormalForm == by_tail.uNormalForm
+    assert by_pres.exceptionalSet == by_tail.exceptionalSet
+    assert by_pres.tail == f
+    # y*x = c^-1*x*y + 1 scales by c^-1, not by the parameter
+    with pytest.raises(FamilyError, match="rank-2 single-tail family only"):
+        stratify_rank2(quantum_weyl(1))
+
+
 def test_rank2_weyl_at_one_flag():
     q = qpoly()
     assert stratify_rank2(q - 3).weylAtOne is True
