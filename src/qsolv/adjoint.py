@@ -14,7 +14,7 @@ from . import densepoly
 from .errors import AdRootError, LocalizationError, RepeatedRootError
 from .normalform import NFElement, nf_mul
 from .params import (
-    FracElem, Frozen, LaurentPoly, UnitMonomial, as_field_element, unit_product,
+    FracElem, Frozen, LaurentPoly, UnitMonomial, _set_field, as_field_element, unit_product,
 )
 
 
@@ -70,10 +70,10 @@ class LocElement(Frozen):
                 break
             num = reduced
             dpow -= 1
-        object.__setattr__(self, "pres", pres)
-        object.__setattr__(self, "xidx", xidx)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "dpow", dpow)
+        _set_field(self, "pres", pres)
+        _set_field(self, "xidx", xidx)
+        _set_field(self, "num", num)
+        _set_field(self, "dpow", dpow)
 
     def is_zero(self):
         return self.num.is_zero()
@@ -142,7 +142,7 @@ def ad_apply(p, xidx, a):
     return LocElement(p, xidx, nf_mul(p.gen(xidx), a.num), a.dpow + 1)
 
 
-class AdSpectrum:
+class AdSpectrum(Frozen):
     """Minimal polynomial data of the conjugation action on one element.
 
     minpoly is monic with coefficients listed from degree zero upward;
@@ -155,13 +155,13 @@ class AdSpectrum:
 
     def __init__(self, pres, xidx, element, minpoly, roots, multiplicities,
                  components=()):
-        self.pres = pres
-        self.xidx = xidx
-        self.element = element
-        self.minpoly = tuple(minpoly)
-        self.roots = tuple(roots)
-        self.multiplicities = tuple(multiplicities)
-        self.components = tuple(components)
+        _set_field(self, "pres", pres)
+        _set_field(self, "xidx", xidx)
+        _set_field(self, "element", element)
+        _set_field(self, "minpoly", tuple(minpoly))
+        _set_field(self, "roots", tuple(roots))
+        _set_field(self, "multiplicities", tuple(multiplicities))
+        _set_field(self, "components", tuple(components))
 
     @property
     def degree(self):

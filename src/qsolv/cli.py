@@ -154,15 +154,23 @@ def _parse_unit(cur, params, pindex):
     return UnitMonomial(params, sign, tuple(exps))
 
 
+def _rational_literal(text, error):
+    """INT or INT/INT as a Fraction; a zero denominator raises
+    ``error("zero denominator")``."""
+    num, slash, den = text.partition("/")
+    den = int(den) if slash else 1
+    if not den:
+        raise error("zero denominator")
+    return Fraction(int(num), den)
+
+
 def _parse_rational(cur):
     t = cur.peek()
     if t is None or not t[0].isdigit():
         return None
+    value = _rational_literal(t, cur.error)
     cur.pos += 1
-    if "/" in t:
-        num, den = t.split("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(t))
+    return value
 
 
 def _parse_term(cur, pindex, gen_positions):
@@ -529,23 +537,13 @@ def _cmd_weights(args, out, report):
 
 
 def _minpoly_str(coeffs):
-    parts = []
-    for d in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[d]
-        if c.is_zero():
-            continue
-        if d == len(coeffs) - 1:
-            head = "t" if d == 1 else f"t^{d}" if d else "1"
-            parts.append(head)
-            continue
-        body = f"({c})"
-        if d == 0:
-            parts.append(body)
-        elif d == 1:
-            parts.append(f"{body}*t")
-        else:
-            parts.append(f"{body}*t^{d}")
-    return " + ".join(parts)
+    """The monic minimal polynomial in t, highest degree first, each lower
+    coefficient in parentheses."""
+    top = len(coeffs) - 1
+    return signed_sum(
+        term_text("1" if d == top else f"({c})", monomial_text(("t",), (d,)))
+        for d, c in reversed(list(enumerate(coeffs))) if not c.is_zero()
+    )
 
 
 def _cmd_adjoint(args, out, report):
@@ -656,12 +654,8 @@ def _parse_assignments(pairs):
         if name in values:
             raise ParseError(f"--param gives {name!r} more than once", 0, 0)
         try:
-            if "/" in raw:
-                num, den = raw.split("/")
-                values[name] = Fraction(int(num), int(den))
-            else:
-                values[name] = Fraction(int(raw))
-        except (ValueError, ZeroDivisionError):
+            values[name] = _rational_literal(raw, ValueError)
+        except ValueError:
             raise ParseError(f"invalid value {raw!r} for {name}", 0, 0)
     return values
 

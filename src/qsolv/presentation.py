@@ -17,9 +17,11 @@ from fractions import Fraction
 from .errors import FamilyError, PresentationError
 from .normalform import NFElement
 from .params import (
+    Frozen,
     FrozenRecord,
     LaurentPoly,
     UnitMonomial,
+    _set_field,
     gamma_torsionfree,
     unit_product,
 )
@@ -39,58 +41,54 @@ def _coerce_unit(params, value, where):
     raise PresentationError(f"{where}: expected a unit monomial, got {value!r}")
 
 
-class Presentation:
+class Presentation(Frozen):
     """Generators, commutation scalars, tails and weight data.
 
-    Treated as immutable; mutating helpers return fresh instances.
+    Immutable; mutating helpers return fresh instances.  The engine-form
+    tails are memoized in ``_tailcache``, a dict filled in place.
     """
+
+    __slots__ = ("name", "params", "gens", "n", "m", "_index", "qmat", "_cu",
+                 "tails", "qskew", "hweights", "_tailcache")
 
     def __init__(self, name, params, gens, npoly, *, qmat=None, tails=None,
                  qskew=None, hweights=None):
-        self.name = str(name)
-        self.params = tuple(params)
-        self.gens = tuple(gens)
-        self.n = int(npoly)
-        self.m = len(self.gens) - self.n
-        if not _NAME_RE.match(self.name):
-            raise PresentationError(f"bad algebra name {self.name!r}")
-        for p in self.params:
+        name, params, gens, n = str(name), tuple(params), tuple(gens), int(npoly)
+        if not _NAME_RE.match(name):
+            raise PresentationError(f"bad algebra name {name!r}")
+        for p in params:
             if not _NAME_RE.match(p):
                 raise PresentationError(f"bad parameter name {p!r}")
-        if len(set(self.params)) != len(self.params):
+        if len(set(params)) != len(params):
             raise PresentationError("duplicate parameter names")
-        for g in self.gens:
+        for g in gens:
             if not _NAME_RE.match(g):
                 raise PresentationError(f"bad generator name {g!r}")
-        if len(set(self.gens)) != len(self.gens):
+        if len(set(gens)) != len(gens):
             raise PresentationError("duplicate generator names")
-        if set(self.gens) & set(self.params):
+        if set(gens) & set(params):
             raise PresentationError("generator and parameter names overlap")
-        if not 0 <= self.n <= len(self.gens):
+        if not 0 <= n <= len(gens):
             raise PresentationError("polynomial generator count out of range")
-        total = len(self.gens)
-        self._index = {g: pos for pos, g in enumerate(self.gens)}
+        total = len(gens)
 
-        one = UnitMonomial.one(self.params)
+        one = UnitMonomial.one(params)
         stored = {}
         for (a, b), value in (qmat or {}).items():
             a, b = int(a), int(b)
             if not 0 <= a < b < total:
                 raise PresentationError(f"commutation pair ({a},{b}) out of order")
-            stored[(a, b)] = _coerce_unit(self.params, value,
-                                          f"commute {self.gens[a]} {self.gens[b]}")
-        self.qmat = stored
+            stored[(a, b)] = _coerce_unit(params, value, f"commute {gens[a]} {gens[b]}")
         # dense lookup: cu[a][b] is the scalar in g_a g_b = cu * g_b g_a
         cu = [[one] * total for _ in range(total)]
         for (a, b), u in stored.items():
             cu[a][b] = u
             cu[b][a] = u.inverse()
-        self._cu = cu
 
         clean_tails = {}
         for (i, j), terms in (tails or {}).items():
             i, j = int(i), int(j)
-            if not 0 <= i < j < self.n:
+            if not 0 <= i < j < n:
                 raise PresentationError(
                     f"tail pair ({i},{j}) must name two polynomial generators in order"
                 )
@@ -99,52 +97,58 @@ class Presentation:
                 key = tuple(int(v) for v in key)
                 if len(key) != total:
                     raise PresentationError("tail monomial width mismatch")
-                if any(v < 0 for v in key[: self.n]):
+                if any(v < 0 for v in key[:n]):
                     raise PresentationError("negative exponent in tail monomial")
                 if isinstance(coef, UnitMonomial):
                     coef = coef.as_poly()
                 elif not isinstance(coef, LaurentPoly):
-                    coef = LaurentPoly.const(self.params, coef)
-                elif coef.params != self.params:
+                    coef = LaurentPoly.const(params, coef)
+                elif coef.params != params:
                     raise PresentationError("tail coefficient over foreign parameters")
                 if not coef.is_zero():
                     body[key] = body[key] + coef if key in body else coef
             body = {k: c for k, c in body.items() if not c.is_zero()}
             if body:
                 clean_tails[(i, j)] = body
-        self.tails = clean_tails
 
         if qskew is None:
-            qskew = [one] * self.n
+            qskew = [one] * n
         qskew = list(qskew)
-        if len(qskew) != self.n:
+        if len(qskew) != n:
             raise PresentationError("qskew must list one unit per polynomial generator")
-        self.qskew = tuple(
-            _coerce_unit(self.params, u, f"qskew {i + 1}") for i, u in enumerate(qskew)
-        )
+        qskew = tuple(_coerce_unit(params, u, f"qskew {i + 1}") for i, u in enumerate(qskew))
 
-        rows = [[self._cu[i][j] for j in range(total)] for i in range(self.n)]
-        for i in range(self.n):
-            rows[i][i] = self.qskew[i].inverse()
+        rows = [list(cu[i]) for i in range(n)]
+        for i in range(n):
+            rows[i][i] = qskew[i].inverse()
         if hweights is not None:
             if isinstance(hweights, dict):
                 for (i, j), u in hweights.items():
                     i, j = int(i), int(j)
-                    if not (0 <= i < self.n and 0 <= j < total):
+                    if not (0 <= i < n and 0 <= j < total):
                         raise PresentationError(f"weight index ({i},{j}) out of range")
-                    rows[i][j] = _coerce_unit(self.params, u, f"weight {i + 1} {self.gens[j]}")
+                    rows[i][j] = _coerce_unit(params, u, f"weight {i + 1} {gens[j]}")
             else:
                 hweights = [list(r) for r in hweights]
-                if len(hweights) != self.n or any(len(r) != total for r in hweights):
+                if len(hweights) != n or any(len(r) != total for r in hweights):
                     raise PresentationError("weight table shape mismatch")
                 rows = [
-                    [_coerce_unit(self.params, u, f"weight {i + 1} {self.gens[j]}")
+                    [_coerce_unit(params, u, f"weight {i + 1} {gens[j]}")
                      for j, u in enumerate(row)]
                     for i, row in enumerate(hweights)
                 ]
-        self.hweights = tuple(tuple(r) for r in rows)
-
-        self._tailcache = {}
+        _set_field(self, "name", name)
+        _set_field(self, "params", params)
+        _set_field(self, "gens", gens)
+        _set_field(self, "n", n)
+        _set_field(self, "m", total - n)
+        _set_field(self, "_index", {g: pos for pos, g in enumerate(gens)})
+        _set_field(self, "qmat", stored)
+        _set_field(self, "_cu", cu)
+        _set_field(self, "tails", clean_tails)
+        _set_field(self, "qskew", qskew)
+        _set_field(self, "hweights", tuple(tuple(r) for r in rows))
+        _set_field(self, "_tailcache", {})
 
     # -- lookups ---------------------------------------------------------
 

@@ -16,7 +16,10 @@ from math import gcd
 from . import densepoly
 from .errors import SpecializationError
 from .normalform import nf_mul
-from .params import ExactValue, FracElem, LaurentPoly, UnitMonomial, gamma_torsionfree
+from .params import (
+    ExactValue, FracElem, Frozen, LaurentPoly, UnitMonomial, _set_field, gamma_torsionfree,
+    monomial_text, signed_sum, term_text,
+)
 from .presentation import (
     Finding,
     ValidationReport,
@@ -68,8 +71,8 @@ class CycNumber(ExactValue):
         if len(dense) >= len(phi):
             _, dense = densepoly.divmod(dense, phi)
         dense += [Fraction(0)] * (len(phi) - 1 - len(dense))
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "vec", tuple(dense))
+        _set_field(self, "N", N)
+        _set_field(self, "vec", tuple(dense))
 
     @classmethod
     def const(cls, N, value):
@@ -164,34 +167,27 @@ class CycNumber(ExactValue):
         return hash((self.N, self.vec))
 
     def __str__(self):
-        parts = []
-        for e, c in enumerate(self.vec):
-            if not c:
-                continue
-            if e == 0:
-                parts.append(str(c))
-            elif e == 1:
-                parts.append(f"{c}*z" if c != 1 else "z")
-            else:
-                parts.append(f"{c}*z^{e}" if c != 1 else f"z^{e}")
-        return " + ".join(parts).replace("+ -", "- ") or "0"
+        return signed_sum(
+            term_text(str(c), monomial_text(("z",), (e,)))
+            for e, c in enumerate(self.vec) if c
+        )
 
     def __repr__(self):
         return f"CycNumber(zeta_{self.N}: {self})"
 
 
-class SpecTarget:
+class SpecTarget(Frozen):
     """Where the parameters go: exact rationals, a cyclotomic field, or
     nowhere (transcendental mode keeps them symbolic)."""
 
     __slots__ = ("kind", "values", "order", "exponents", "_roots")
 
     def __init__(self, kind, values=None, order=None, exponents=None):
-        self.kind = kind
-        self.values = values
-        self.order = order
-        self.exponents = exponents
-        self._roots = {}  # (sign, k) -> sign * zeta^k
+        _set_field(self, "kind", kind)
+        _set_field(self, "values", values)
+        _set_field(self, "order", order)
+        _set_field(self, "exponents", exponents)
+        _set_field(self, "_roots", {})  # (sign, k) -> sign * zeta^k, filled in place
 
     @classmethod
     def rational(cls, values):
@@ -368,7 +364,7 @@ def rational_torsionfree(values):
     )
 
 
-class SpecializedPresentation:
+class SpecializedPresentation(Frozen):
     """A presentation with all scalars pushed into the target field.
 
     Keeps the generator layout of the base presentation; scalar lookups
@@ -379,11 +375,11 @@ class SpecializedPresentation:
     __slots__ = ("base", "target", "qskew_values", "tail_values", "findings")
 
     def __init__(self, base, target, qskew_values, tail_values, findings):
-        self.base = base
-        self.target = target
-        self.qskew_values = tuple(qskew_values)
-        self.tail_values = tail_values
-        self.findings = findings
+        _set_field(self, "base", base)
+        _set_field(self, "target", target)
+        _set_field(self, "qskew_values", tuple(qskew_values))
+        _set_field(self, "tail_values", tail_values)
+        _set_field(self, "findings", findings)
 
     @property
     def passed(self):

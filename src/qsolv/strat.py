@@ -20,7 +20,7 @@ from math import isqrt
 from . import densepoly
 from .errors import FamilyError, QsolvError
 from .normalform import nf_mul
-from .params import FrozenRecord, LaurentPoly, UnitMonomial
+from .params import Frozen, FrozenRecord, LaurentPoly, UnitMonomial, _set_field
 from .presentation import Presentation, rank2
 from .torus import torus_of_presentation
 
@@ -146,7 +146,7 @@ class Rank2Stratum(FrozenRecord):
         self._init(label, containsU, description)
 
 
-class Rank2Strata:
+class Rank2Strata(Frozen):
     """Stratification data of the rank-2 single-tail family.
 
     uNormalForm is x*y - y*x reduced to the monomial basis; the two
@@ -160,12 +160,12 @@ class Rank2Strata:
                  "residualFactor", "weylAtOne")
 
     def __init__(self, tail, u_nf, strata, exceptional, residual, weyl_at_one):
-        self.tail = tail
-        self.uNormalForm = u_nf
-        self.strata = tuple(strata)
-        self.exceptionalSet = tuple(exceptional)
-        self.residualFactor = residual
-        self.weylAtOne = weyl_at_one
+        _set_field(self, "tail", tail)
+        _set_field(self, "uNormalForm", u_nf)
+        _set_field(self, "strata", tuple(strata))
+        _set_field(self, "exceptionalSet", tuple(exceptional))
+        _set_field(self, "residualFactor", residual)
+        _set_field(self, "weylAtOne", weyl_at_one)
 
     def __repr__(self):
         excl = ", ".join(str(v) for v in self.exceptionalSet)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from . import intlinalg
 from .errors import LatticeError
-from .params import Frozen, UnitMonomial, normal_scalar
+from .params import Frozen, UnitMonomial, _set_field, normal_scalar
 
 
 class TorusPresentation(Frozen):
@@ -34,14 +34,14 @@ class TorusPresentation(Frozen):
                 raise ValueError("parameter tuples differ")
             if not unit.is_one():
                 clean[(i, j)] = unit
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "pmat", clean)
+        _set_field(self, "rank", rank)
+        _set_field(self, "params", params)
+        _set_field(self, "pmat", clean)
         # both orientations, so that no lookup builds an inverse
         pairs = dict(clean)
         pairs.update(((j, i), unit.inverse()) for (i, j), unit in clean.items())
-        object.__setattr__(self, "_pairs", pairs)
-        object.__setattr__(self, "_one", UnitMonomial.one(params))
+        _set_field(self, "_pairs", pairs)
+        _set_field(self, "_one", UnitMonomial.one(params))
 
     def pairing(self, i, j):
         """The scalar p_ij with Y_i Y_j = p_ij Y_j Y_i, any index order."""
@@ -80,8 +80,8 @@ class LatticeSubgroup(Frozen):
     __slots__ = ("dim", "basis")
 
     def __init__(self, dim, vectors):
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "basis", intlinalg.hnf_columns(dim, vectors))
+        _set_field(self, "dim", dim)
+        _set_field(self, "basis", intlinalg.hnf_columns(dim, vectors))
 
     @property
     def rank(self):
@@ -147,7 +147,7 @@ def center_lattice(P):
     return LatticeSubgroup(P.rank, intlinalg.kernel_basis(rows))
 
 
-class CenterDescription:
+class CenterDescription(Frozen):
     """A compatible basis splitting the center out of the torus.
 
     changeOfBasis columns are the new generators' exponent vectors; the
@@ -159,9 +159,9 @@ class CenterDescription:
     __slots__ = ("lattice", "changeOfBasis", "quotientForm")
 
     def __init__(self, lattice, change_of_basis, quotient_form=None):
-        self.lattice = lattice
-        self.changeOfBasis = tuple(tuple(col) for col in change_of_basis)
-        self.quotientForm = quotient_form
+        _set_field(self, "lattice", lattice)
+        _set_field(self, "changeOfBasis", tuple(tuple(col) for col in change_of_basis))
+        _set_field(self, "quotientForm", quotient_form)
 
     def __repr__(self):
         cols = ", ".join(str(list(c)) for c in self.changeOfBasis)

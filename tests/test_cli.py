@@ -183,6 +183,21 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert err.startswith("parse error at line 4")
 
 
+@pytest.mark.parametrize("args, where", [
+    (["validate", "{zero}"], "line 5, column 12"),
+    (["adjoint", "{weyl}", "y", "1/0*x"], "line 1, column 1"),
+    (["weights", "{weyl}", "x + 3/0"], "line 1, column 5"),
+], ids=["tail", "adjoint", "weights"])
+def test_zero_denominator_is_a_parse_error(tmp_path, capsys, args, where):
+    zero = tmp_path / "zero.alg"
+    zero.write_text(PLANE_SRC + "tail x y : 1/0\n")
+    weyl = write_presentation(tmp_path, quantum_weyl(1), "weyl")
+    assert run_command([a.format(zero=zero, weyl=weyl) for a in args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"parse error at {where}: zero denominator\n"
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     assert run_command(["validate", str(tmp_path / "absent.alg")]) == 2
     assert "cannot read" in capsys.readouterr().err
@@ -379,6 +394,14 @@ def test_specialize_rejects_nonpositive_root_of_unity(plane_file, capsys):
 def test_specialize_fraction_values(plane_file, capsys):
     assert run_command(["specialize", plane_file, "--param", "q=2/3"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("raw", ["1/0", "1/", "2/3/4", "x"])
+def test_specialize_rejects_bad_values(plane_file, capsys, raw):
+    assert run_command(["specialize", plane_file, "--param", f"q={raw}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: invalid value {raw!r} for q\n"
 
 
 def test_specialize_root_of_unity_needs_integer_exponents(plane_file, capsys):

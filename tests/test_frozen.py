@@ -1,5 +1,6 @@
-"""The exact value classes share one immutability guard and the operators
-that follow from ``_coerce``."""
+"""The exact value classes, the presentation and the computed results share
+one immutability guard; the values also share the operators that follow
+from ``_coerce``."""
 
 import importlib
 import inspect
@@ -14,10 +15,16 @@ from qsolv import (
     LatticeSubgroup,
     LaurentPoly,
     LocElement,
+    SpecTarget,
     TorusPresentation,
     UnitMonomial,
+    ad_eigencomponents,
+    compatible_basis,
     params,
     quantum_plane,
+    quantum_weyl,
+    specialize_presentation,
+    stratify_rank2,
 )
 
 P = ("q",)
@@ -38,6 +45,20 @@ VALUES = {
 }
 
 
+# The presentation and the computed results; the results compare by identity.
+RESULTS = {
+    "Presentation": lambda: quantum_weyl(1),
+    "SpecTarget": lambda: SpecTarget.cyclotomic(6, {"q": 1}),
+    "SpecializedPresentation": lambda: specialize_presentation(
+        quantum_plane(), SpecTarget.rational({"q": 3})),
+    "AdSpectrum": lambda: ad_eigencomponents(
+        quantum_weyl(1), 0, quantum_weyl(1).generator("x")),
+    "Rank2Strata": lambda: stratify_rank2(0),
+    "CenterDescription": lambda: compatible_basis(
+        LatticeSubgroup(2, [(1, 2)]), 2, VALUES["TorusPresentation"]()),
+}
+
+
 MUTATIONS = {
     "assign": (lambda value, name: setattr(value, name, None), "cannot assign to field"),
     "delete": (delattr, "cannot delete field"),
@@ -48,6 +69,19 @@ MUTATIONS = {
 @pytest.mark.parametrize("make", VALUES.values(), ids=VALUES)
 def test_fields_cannot_change(make, change, text):
     value = make()
+    _refuse_change(value, change, text)
+    assert value == make()
+
+
+@pytest.mark.parametrize("change, text", MUTATIONS.values(), ids=MUTATIONS)
+@pytest.mark.parametrize("make", RESULTS.values(), ids=RESULTS)
+def test_result_fields_cannot_change(make, change, text):
+    _refuse_change(make(), change, text)
+
+
+def _refuse_change(value, change, text):
+    """Every field and a new name refuse ``change``, and each field keeps
+    its value object."""
     assert not hasattr(value, "__dict__")
     fields = type(value).__slots__
     before = [getattr(value, name) for name in fields]
@@ -57,7 +91,16 @@ def test_fields_cannot_change(make, change, text):
             change(value, name)
     assert all(getattr(value, name) is old for name, old in zip(fields, before))
     assert repr(value) == shown
-    assert value == make()
+
+
+def test_spec_target_order_cannot_go_stale():
+    target = SpecTarget.cyclotomic(6, {"q": 1})
+    unit = UnitMonomial.var(P, "q")
+    assert target.unit_value(unit) == CycNumber.zeta(6)
+    with pytest.raises(AttributeError, match="cannot assign to field 'order'"):
+        target.order = 4
+    assert repr(target) == "SpecTarget(zeta_6: q=zeta^1)"
+    assert target.unit_value(unit) == CycNumber.zeta(6)
 
 
 FRAC = FracElem(q(), q() + 1)
@@ -117,3 +160,14 @@ def test_frozen_is_the_only_guard():
         if {"__setattr__", "__delattr__"} & vars(cls).keys()
     ]
     assert guarded == ["Frozen"]
+
+
+def test_every_public_class_is_frozen():
+    # the parser's cursor and the engine's product table are private
+    # working objects that change as they run
+    working = {"_Cursor", "_RightTable"}
+    loose = [
+        cls.__qualname__ for cls in _qsolv_classes()
+        if not issubclass(cls, (params.Frozen, Exception)) and cls.__qualname__ not in working
+    ]
+    assert loose == []

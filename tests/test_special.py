@@ -110,6 +110,15 @@ def test_cyc_number_fraction_coercion():
     assert half + z - z == CycNumber.const(5, half)
 
 
+def test_cyc_number_prints_like_other_sums():
+    assert str(CycNumber.zeta(3, 2)) == "-1 - z"
+    assert str(CycNumber.zeta(4, 3)) == "-z"
+    assert repr(CycNumber.zeta(4, 3)) == "CycNumber(zeta_4: -z)"
+    assert str(CycNumber(12, [0, 2, 0, -1])) == "2*z - z^3"
+    assert str(CycNumber(5, [F(1, 2), 0, F(-1, 3)])) == "1/2 - 1/3*z^2"
+    assert str(CycNumber.const(6, 0)) == "0"
+
+
 def test_spec_target_construction():
     t = SpecTarget.rational({"q": F(3)})
     assert t.kind == "rational"
