@@ -711,6 +711,9 @@ def _cmd_compositions(args, out, report):
 
     if args.n < 0:
         raise ParseError("n must be nonnegative", 0, 0)
+    if args.n > 16:
+        # all 2^n compositions are built before the first line prints
+        raise ParseError("n must be at most 16", 0, 0)
     comps = admissible_compositions(args.n)
     for comp in comps:
         out.append("(" + ", ".join(str(i) for i in comp) + ")")

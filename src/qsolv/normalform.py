@@ -334,7 +334,7 @@ class _RightTable:
         pres = self.pres
         b = _last_letter(mono, pres.n)
         prev = mono[:b] + (mono[b] - 1,) + mono[b + 1:]
-        u_inv = pres.commutation_unit(a, b).inverse().as_poly()
+        u_inv = pres.commutation_unit(b, a).as_poly()  # the mirrored entry is u^-1
         swapped = yield from self._times_letter({prev: u_inv}, a)
         out = yield from self._times_letter(swapped, b)
         for t_coef, t_word, t_kvec in pres.tail_terms(a, b):

@@ -17,6 +17,7 @@ touches floating point.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd
 from operator import add as _add
 
@@ -44,6 +45,21 @@ class Frozen:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy restore state through setattr, which is refused
+        fields = dict(getattr(self, "__dict__", ()))
+        for cls in type(self).__mro__:
+            fields.update((f, getattr(self, f)) for f in cls.__dict__.get("__slots__", ()))
+        return _rebuild, (type(self), fields)
+
+
+def _rebuild(cls, fields):
+    """An instance of cls with these fields, for Frozen.__reduce__."""
+    self = object.__new__(cls)
+    for name, value in fields.items():
+        _set_field(self, name, value)
+    return self
 
 
 class ExactValue(Frozen):
@@ -118,10 +134,11 @@ def _quotient(a, b):
 
 def monomial_text(names, exps):
     """``name^e`` factors joined by ``*``: zero exponents are dropped and
-    exponent 1 stays implicit, so the constant monomial prints as ``""``."""
-    return "*".join(
-        name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e
-    )
+    exponent 1 stays implicit, so the constant monomial prints as ``""``.
+    ``compress`` skips the zero slots of a wide, sparse key in C."""
+    return "*".join([
+        name if e == 1 else f"{name}^{e}" for name, e in compress(zip(names, exps), exps)
+    ])
 
 
 def term_text(coef_text, body):

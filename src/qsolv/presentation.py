@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add, neg
 
 from .errors import FamilyError, PresentationError
 from .normalform import NFElement
@@ -27,6 +28,11 @@ from .params import (
 )
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+
+
+def _inverse(u):
+    """u^-1 by negating exponents; a sign +-1 is its own inverse."""
+    return UnitMonomial(u.params, u.sign, tuple(map(neg, u.exps)))
 
 
 def _coerce_unit(params, value, where):
@@ -83,7 +89,7 @@ class Presentation(Frozen):
         cu = [[one] * total for _ in range(total)]
         for (a, b), u in stored.items():
             cu[a][b] = u
-            cu[b][a] = u.inverse()
+            cu[b][a] = _inverse(u)
 
         clean_tails = {}
         for (i, j), terms in (tails or {}).items():
@@ -94,10 +100,10 @@ class Presentation(Frozen):
                 )
             body = {}
             for key, coef in terms.items():
-                key = tuple(int(v) for v in key)
+                key = tuple(map(int, key))
                 if len(key) != total:
                     raise PresentationError("tail monomial width mismatch")
-                if any(v < 0 for v in key[:n]):
+                if min(key[:n], default=0) < 0:
                     raise PresentationError("negative exponent in tail monomial")
                 if isinstance(coef, UnitMonomial):
                     coef = coef.as_poly()
@@ -118,25 +124,24 @@ class Presentation(Frozen):
             raise PresentationError("qskew must list one unit per polynomial generator")
         qskew = tuple(_coerce_unit(params, u, f"qskew {i + 1}") for i, u in enumerate(qskew))
 
-        rows = [list(cu[i]) for i in range(n)]
-        for i in range(n):
-            rows[i][i] = qskew[i].inverse()
-        if hweights is not None:
-            if isinstance(hweights, dict):
-                for (i, j), u in hweights.items():
-                    i, j = int(i), int(j)
-                    if not (0 <= i < n and 0 <= j < total):
-                        raise PresentationError(f"weight index ({i},{j}) out of range")
-                    rows[i][j] = _coerce_unit(params, u, f"weight {i + 1} {gens[j]}")
-            else:
-                hweights = [list(r) for r in hweights]
-                if len(hweights) != n or any(len(r) != total for r in hweights):
-                    raise PresentationError("weight table shape mismatch")
-                rows = [
-                    [_coerce_unit(params, u, f"weight {i + 1} {gens[j]}")
-                     for j, u in enumerate(row)]
-                    for i, row in enumerate(hweights)
-                ]
+        if hweights is not None and not isinstance(hweights, dict):
+            hweights = [list(r) for r in hweights]
+            if len(hweights) != n or any(len(r) != total for r in hweights):
+                raise PresentationError("weight table shape mismatch")
+            rows = [
+                [_coerce_unit(params, u, f"weight {i + 1} {gens[j]}")
+                 for j, u in enumerate(row)]
+                for i, row in enumerate(hweights)
+            ]
+        else:
+            rows = [list(cu[i]) for i in range(n)]
+            for i in range(n):
+                rows[i][i] = _inverse(qskew[i])
+            for (i, j), u in (hweights or {}).items():
+                i, j = int(i), int(j)
+                if not (0 <= i < n and 0 <= j < total):
+                    raise PresentationError(f"weight index ({i},{j}) out of range")
+                rows[i][j] = _coerce_unit(params, u, f"weight {i + 1} {gens[j]}")
         _set_field(self, "name", name)
         _set_field(self, "params", params)
         _set_field(self, "gens", gens)
@@ -477,88 +482,55 @@ def quantum_matrices(n):
     Parameters are h and q_ij for i < j, with the usual pairing constant
     c = h^2; the second scalar family is p_ij = c * q_ij^(-1).  Entries
     a_ti are ordered row by row, tails follow the 2x2 minor rule.
+
+    Every scalar is built from integer exponent vectors: tau_(t,i) acts
+    on a_sj by h^-1 q_ts * h^(+-1) q_ji, and the scalar of a relation is
+    the weight of its first generator on the second one.
     """
     n = int(n)
     if not 1 <= n <= 9:
         raise FamilyError("quantum_matrices size must be between 1 and 9")
     params = ("h",) + tuple(f"q{i}{j}" for i in range(1, n + 1)
                             for j in range(i + 1, n + 1))
-    slot = {name: idx for idx, name in enumerate(params)}
-    width = len(params)
+    zero = (0,) * len(params)
+    # exponents of q_ab, with q_ba = q_ab^(-1) and q_aa = 1
+    q = {(a, a): zero for a in range(1, n + 1)}
+    for k, name in enumerate(params[1:], 1):
+        a, b = int(name[1]), int(name[2])
+        q[a, b] = zero[:k] + (1,) + zero[k + 1:]
+        q[b, a] = zero[:k] + (-1,) + zero[k + 1:]
 
-    def unit(h=0, **qs):
-        exps = [0] * width
-        exps[0] = h
-        for name, e in qs.items():
-            exps[slot[name]] += e
-        return UnitMonomial(params, 1, tuple(exps))
+    def hq(e, a, b):
+        # exponents of h^e * q_ab
+        return (e,) + q[a, b][1:]
 
-    def q(a, b):
-        # the scalar q_ab, with q_ba = q_ab^(-1)
-        if a < b:
-            return unit(**{f"q{a}{b}": 1})
-        return unit(**{f"q{b}{a}": -1})
-
-    def p_inv(t, s):
-        # p_ts^(-1) = h^(-2) q_ts for t < s
-        return unit(h=-2) * q(t, s)
-
-    def pos(t, i):
-        return (t - 1) * n + (i - 1)
-
-    gens = tuple(f"a{t}{i}" for t in range(1, n + 1) for i in range(1, n + 1))
+    idx = range(1, n + 1)
+    cells = [(t, i) for t in idx for i in idx]
+    rows = {(t, s): hq(-1, t, s) for t in idx for s in idx}
+    cols = {(i, j): hq(1 if i < j else -1, j, i) for i in idx for j in idx}
+    hweights = [
+        [UnitMonomial(params, 1, tuple(map(add, rows[t, s], cols[i, j])))
+         for s, j in cells]
+        for t, i in cells
+    ]
     total = n * n
     qmat = {}
     tails = {}
-    for t in range(1, n + 1):
-        for i in range(1, n + 1):
-            for s in range(t, n + 1):
-                for j in range(1, n + 1):
-                    if pos(s, j) <= pos(t, i):
-                        continue
-                    a, b = pos(t, i), pos(s, j)
-                    if t == s:
-                        qmat[(a, b)] = q(i, j).inverse()
-                    elif i == j:
-                        qmat[(a, b)] = p_inv(t, s)
-                    elif i < j:
-                        qmat[(a, b)] = q(t, s) * q(i, j).inverse()
-                        coef = (q(i, j).inverse() - unit(h=2) * q(t, s).inverse())
-                        key = [0] * total
-                        key[pos(t, j)] += 1
-                        key[pos(s, i)] += 1
-                        if not coef.is_zero():
-                            tails[(a, b)] = {tuple(key): coef}
-                    else:
-                        qmat[(a, b)] = p_inv(t, s) * q(j, i)
-
-    qskew = [
-        unit(h=2) if (t < n and i < n) else unit()
-        for t in range(1, n + 1) for i in range(1, n + 1)
-    ]
-
-    def row_factor(t, s):
-        if t < s:
-            return unit(h=-1) * q(t, s)
-        if t == s:
-            return unit(h=-1)
-        return unit(h=-1) * q(s, t).inverse()
-
-    def col_factor(i, j):
-        if i < j:
-            return unit(h=1) * q(i, j).inverse()
-        if i == j:
-            return unit(h=-1)
-        return unit(h=-1) * q(j, i)
-
-    hweights = [
-        [row_factor(t, s) * col_factor(i, j)
-         for s in range(1, n + 1) for j in range(1, n + 1)]
-        for t in range(1, n + 1) for i in range(1, n + 1)
-    ]
+    for a, (t, i) in enumerate(cells):
+        for b in range(a + 1, total):
+            qmat[a, b] = hweights[a][b]
+            s, j = cells[b]
+            if t < s and i < j:
+                # the tail (q_ij^-1 - h^2 q_ts^-1) a_tj a_si
+                key = [0] * total
+                key[(t - 1) * n + j - 1] = key[(s - 1) * n + i - 1] = 1
+                tails[a, b] = {tuple(key): LaurentPoly._make(
+                    params, {q[j, i]: 1, hq(2, s, t): -1})}
+    one, c = UnitMonomial(params, 1, zero), UnitMonomial(params, 1, hq(2, 1, 1))
     return Presentation(
-        f"quantum_matrices{n}", params, gens, total,
-        qmat=qmat, tails=tails, qskew=qskew, hweights=hweights,
+        f"quantum_matrices{n}", params, tuple(f"a{t}{i}" for t, i in cells), total,
+        qmat=qmat, tails=tails, hweights=hweights,
+        qskew=[c if t < n and i < n else one for t, i in cells],
     )
 
 
@@ -586,16 +558,14 @@ def quantum_weyl(n):
             exps[slot[name]] += e
         return UnitMonomial(params, 1, tuple(exps))
 
-    def r(a, b):
-        if a < b:
-            return unit(**{f"r{a}{b}": 1})
-        return unit(**{f"r{b}{a}": -1})
+    def r(a, b, power=0):
+        # c^power * r_ab, with r_ba = r_ab^(-1)
+        lo, hi = min(a, b), max(a, b)
+        return unit(power, **{f"r{lo}{hi}": 1 if a < b else -1})
 
     def p(a, b):
         # p_ab = c * r_ab^(-1) for a < b, and p_ba = p_ab^(-1)
-        if a < b:
-            return unit(c=1) * r(a, b).inverse()
-        return unit(c=-1) * r(b, a)
+        return r(b, a, 1 if a < b else -1)
 
     if n == 1:
         gens = ("y", "x")
@@ -620,7 +590,7 @@ def quantum_weyl(n):
             if i < j:
                 qmat[(ypos(i), xpos(j))] = p(j, i)
             elif i > j:
-                qmat[(ypos(i), xpos(j))] = r(j, i).inverse()
+                qmat[(ypos(i), xpos(j))] = r(i, j)
             else:
                 qmat[(ypos(i), xpos(i))] = unit(c=-1)
 
@@ -663,7 +633,7 @@ def quantum_weyl(n):
                 row[xpos(j)] = p(j, i)
             elif i > j:
                 row[ypos(j)] = r(j, i)
-                row[xpos(j)] = r(j, i).inverse()
+                row[xpos(j)] = r(i, j)
             else:
                 row[ypos(i)] = unit(c=1)
                 row[xpos(i)] = unit(c=-1)
@@ -674,8 +644,8 @@ def quantum_weyl(n):
                 row[ypos(a)] = unit()
                 row[xpos(a)] = unit()
             else:
-                row[xpos(a)] = r(a, j) if a < j else r(j, a).inverse()
-                row[ypos(a)] = row[xpos(a)].inverse()
+                row[xpos(a)] = r(a, j)
+                row[ypos(a)] = r(j, a)
 
     name = "quantum_weyl" if n == 1 else f"quantum_weyl{n}"
     return Presentation(

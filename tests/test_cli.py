@@ -465,6 +465,28 @@ def test_compositions_rejects_negative(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("n", [17, 1000000])
+def test_compositions_refuses_large_n_before_any_work(n, capsys, monkeypatch):
+    def listed(_):
+        raise AssertionError("compositions were enumerated")
+
+    monkeypatch.setattr("qsolv.strat.admissible_compositions", listed)
+    assert run_command(["compositions", str(n)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n must be at most 16\n"
+
+
+def test_compositions_at_the_bound(capsys):
+    assert run_command(["compositions", "16"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "(16)"
+    assert out[1] == "(0, 15)"
+    assert out[-2] == "(" + ", ".join(["0"] * 17) + ")"
+    assert out[-1] == "count: 65536"
+    assert len(out) == 2 ** 16 + 1
+
+
 def test_report_file(tmp_path, plane_file, capsys):
     report = tmp_path / "report.txt"
     assert run_command(["validate", plane_file, "--out", str(report)]) == 0

@@ -2,8 +2,10 @@
 one immutability guard; the values also share the operators that follow
 from ``_coerce``."""
 
+import copy
 import importlib
 import inspect
+import pickle
 import pkgutil
 
 import pytest
@@ -101,6 +103,43 @@ def test_spec_target_order_cannot_go_stale():
         target.order = 4
     assert repr(target) == "SpecTarget(zeta_6: q=zeta^1)"
     assert target.unit_value(unit) == CycNumber.zeta(6)
+
+
+# Every value class, a signed unit and a presentation with tails, through
+# each way of copying: pickle and copy restore fields through the base.
+COPIED = dict(
+    VALUES,
+    UnitMonomial=lambda: UnitMonomial.var(P, "q", -2, sign=-1),
+    Presentation=lambda: quantum_weyl(2),
+)
+COPIES = {
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+
+
+@pytest.mark.parametrize("duplicate", COPIES.values(), ids=COPIES)
+@pytest.mark.parametrize("make", COPIED.values(), ids=COPIED)
+def test_copies_are_equal_and_frozen(make, duplicate):
+    value = make()
+    dup = duplicate(value)
+    assert type(dup) is type(value)
+    assert dup == value
+    assert repr(dup) == repr(value) and str(dup) == str(value)
+    fields = type(dup).__slots__ if not hasattr(dup, "__dict__") else tuple(vars(dup))
+    for name in fields:
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(dup, name, None)
+    assert dup == value
+
+
+def test_copied_presentation_still_multiplies():
+    w = quantum_weyl(1)
+    dup = pickle.loads(pickle.dumps(w))
+    y, x = dup.gen(0), dup.gen(1)
+    assert y * x == w.gen(0) * w.gen(1)
+    assert (x * y).pres is dup
 
 
 FRAC = FracElem(q(), q() + 1)

@@ -119,6 +119,19 @@ def test_weyl_power_fill_counts(k, terms, fills):
     assert "x*y" in message and str(fills - 1) in message
 
 
+def test_fills_read_the_inverse_from_the_dense_table(monkeypatch):
+    # each of the 64 fills of x^8 * y^8 takes u^-1 from the mirrored entry
+    w = quantum_weyl(1)
+    x8, y8 = w.gen_power(1, 8), w.gen_power(0, 8)
+    powers = []
+    original = UnitMonomial.pow
+    monkeypatch.setattr(UnitMonomial, "pow",
+                        lambda unit, n: powers.append(n) or original(unit, n))
+    product = nf_mul(x8, y8)
+    assert powers == []
+    assert len(product.terms) == 9
+
+
 def test_deep_monomial_does_not_recurse():
     p = quantum_plane()
     qpow = LaurentPoly.var(p.params, "q", -1500)
