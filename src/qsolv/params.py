@@ -17,7 +17,6 @@ touches floating point.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
 from math import gcd
 from operator import add as _add
 
@@ -134,11 +133,10 @@ def _quotient(a, b):
 
 def monomial_text(names, exps):
     """``name^e`` factors joined by ``*``: zero exponents are dropped and
-    exponent 1 stays implicit, so the constant monomial prints as ``""``.
-    ``compress`` skips the zero slots of a wide, sparse key in C."""
-    return "*".join([
-        name if e == 1 else f"{name}^{e}" for name, e in compress(zip(names, exps), exps)
-    ])
+    exponent 1 stays implicit, so the constant monomial prints as ``""``."""
+    return "*".join(
+        name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e
+    )
 
 
 def term_text(coef_text, body):
@@ -561,7 +559,8 @@ class UnitMonomial(FrozenRecord):
         )
 
     def inverse(self):
-        return self.pow(-1)
+        # a sign +-1 is its own inverse
+        return UnitMonomial(self.params, self.sign, tuple(-e for e in self.exps))
 
     def as_poly(self):
         return LaurentPoly._make(self.params, {self.exps: self.sign})

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from operator import add, neg
+from operator import add
 
 from .errors import FamilyError, PresentationError
 from .normalform import NFElement
@@ -28,11 +28,6 @@ from .params import (
 )
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
-
-
-def _inverse(u):
-    """u^-1 by negating exponents; a sign +-1 is its own inverse."""
-    return UnitMonomial(u.params, u.sign, tuple(map(neg, u.exps)))
 
 
 def _coerce_unit(params, value, where):
@@ -89,7 +84,7 @@ class Presentation(Frozen):
         cu = [[one] * total for _ in range(total)]
         for (a, b), u in stored.items():
             cu[a][b] = u
-            cu[b][a] = _inverse(u)
+            cu[b][a] = u.inverse()
 
         clean_tails = {}
         for (i, j), terms in (tails or {}).items():
@@ -136,7 +131,7 @@ class Presentation(Frozen):
         else:
             rows = [list(cu[i]) for i in range(n)]
             for i in range(n):
-                rows[i][i] = _inverse(qskew[i])
+                rows[i][i] = qskew[i].inverse()
             for (i, j), u in (hweights or {}).items():
                 i, j = int(i), int(j)
                 if not (0 <= i < n and 0 <= j < total):

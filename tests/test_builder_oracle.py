@@ -2,8 +2,8 @@
 reference_presentation.py, and a count gate on the unit work they do.
 
 The builders and the constructor work on integer exponent vectors: no
-presentation is built through ``UnitMonomial.pow`` or ``inverse``, and a
-build makes at most one unit for each scalar it stores.  Counts are the
+presentation is built through ``UnitMonomial.pow``, and a build makes at
+most one unit for each scalar it stores or mirrors.  Counts are the
 same on every machine, so a lost fast path fails here.
 """
 
@@ -109,9 +109,9 @@ def test_default_weights_match_reference():
 
 @pytest.fixture
 def unit_calls(monkeypatch):
-    """Count UnitMonomial constructions, powers and inversions."""
+    """Count UnitMonomial constructions and powers."""
     calls = collections.Counter()
-    for name in ("__init__", "pow", "inverse"):
+    for name in ("__init__", "pow"):
         original = getattr(UnitMonomial, name)
 
         def counted(*args, _name=name, _original=original):
@@ -125,7 +125,7 @@ def unit_calls(monkeypatch):
 def test_building_quantum_matrices_makes_one_unit_per_scalar(unit_calls):
     # the former builder made 2,511 powers and 13,816 units for n = 6
     p = quantum_matrices(6)
-    assert unit_calls["pow"] == unit_calls["inverse"] == 0
+    assert unit_calls["pow"] == 0
     stored = len(p.qmat) + len(p.qskew) + p.n * len(p.gens)
     mirrored = len(p.qmat)
     assert unit_calls["__init__"] <= stored + mirrored
@@ -134,5 +134,5 @@ def test_building_quantum_matrices_makes_one_unit_per_scalar(unit_calls):
 def test_parsing_makes_no_unit_powers(unit_calls):
     text = (DATA / "matrices3.alg").read_text()
     p = parse_presentation(text)
-    assert unit_calls["pow"] == unit_calls["inverse"] == 0
+    assert unit_calls["pow"] == 0
     assert p == quantum_matrices(3)

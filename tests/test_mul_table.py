@@ -123,12 +123,14 @@ def test_fills_read_the_inverse_from_the_dense_table(monkeypatch):
     # each of the 64 fills of x^8 * y^8 takes u^-1 from the mirrored entry
     w = quantum_weyl(1)
     x8, y8 = w.gen_power(1, 8), w.gen_power(0, 8)
-    powers = []
-    original = UnitMonomial.pow
-    monkeypatch.setattr(UnitMonomial, "pow",
-                        lambda unit, n: powers.append(n) or original(unit, n))
+    calls = []
+    for name in ("pow", "inverse"):
+        original = getattr(UnitMonomial, name)
+        monkeypatch.setattr(UnitMonomial, name,
+                            lambda *args, _name=name, _original=original:
+                            calls.append(_name) or _original(*args))
     product = nf_mul(x8, y8)
-    assert powers == []
+    assert calls == []
     assert len(product.terms) == 9
 
 
