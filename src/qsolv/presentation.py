@@ -532,120 +532,57 @@ def quantum_matrices(n):
 def quantum_weyl(n):
     """Quantum Weyl algebra on pairs y_i, x_i.
 
-    PBW order is y_1..y_n, x_n..x_1; the only tails sit on the (y_i, x_i)
-    pairs: y_i x_i = c^(-1) x_i y_i + 1 + (c^(-1)-1) * sum of x_a y_a over
-    a > i, stored here in normal form.  Scalars use the parameter c and,
-    for n > 1, the pair parameters r_ij with the companion family
-    p_ij = c * r_ij^(-1).
+    PBW order is y_1..y_n, x_n..x_1.  The parameters are c and, for
+    n > 1, r_ij for i < j.  With r_ji = r_ij^(-1) and r_ii = 1, every
+    weight follows one of four rules,
+
+        tau_(y_i)(y_j) = c^[i<=j] r_ji      tau_(y_i)(x_j) = c^-[i<=j] r_ij
+        tau_(x_i)(y_j) = r_ij               tau_(x_i)(x_j) = r_ji
+
+    and the scalar of a relation is the weight of its first generator on
+    the second one.  The only tails sit on the (y_i, x_i) pairs, in
+    normal form: y_i x_i = c^(-1) x_i y_i + c^(n-i) plus the terms
+    (c^(a-i-1) - c^(a-i)) y_a x_a over a > i.
     """
     n = int(n)
     if n < 1:
         raise FamilyError("quantum_weyl needs at least one pair")
-    params = ("c",) + tuple(f"r{i}{j}" for i in range(1, n + 1)
-                            for j in range(i + 1, n + 1))
-    slot = {name: idx for idx, name in enumerate(params)}
-    width = len(params)
-
-    def unit(c=0, **rs):
-        exps = [0] * width
-        exps[0] = c
-        for name, e in rs.items():
-            exps[slot[name]] += e
-        return UnitMonomial(params, 1, tuple(exps))
-
-    def r(a, b, power=0):
-        # c^power * r_ab, with r_ba = r_ab^(-1)
-        lo, hi = min(a, b), max(a, b)
-        return unit(power, **{f"r{lo}{hi}": 1 if a < b else -1})
-
-    def p(a, b):
-        # p_ab = c * r_ab^(-1) for a < b, and p_ba = p_ab^(-1)
-        return r(b, a, 1 if a < b else -1)
-
-    if n == 1:
-        gens = ("y", "x")
-    else:
-        gens = tuple(f"y{i}" for i in range(1, n + 1)) + tuple(
-            f"x{i}" for i in range(n, 0, -1))
+    idx = range(1, n + 1)
+    pairs = [(i, j) for i in idx for j in idx if i < j]
+    params = ("c",) + tuple(f"r{i}{j}" for i, j in pairs)
+    # exponents of r_ab after the c slot, with r_ba = r_ab^(-1) and r_aa = 1
+    rest = (0,) * len(pairs)
+    r = {(a, a): rest for a in idx}
+    for k, (a, b) in enumerate(pairs):
+        r[a, b] = rest[:k] + (1,) + rest[k + 1:]
+        r[b, a] = rest[:k] + (-1,) + rest[k + 1:]
+    rules = {
+        ("y", "y"): lambda i, j: (int(i <= j),) + r[j, i],
+        ("y", "x"): lambda i, j: (-int(i <= j),) + r[i, j],
+        ("x", "y"): lambda i, j: (0,) + r[i, j],
+        ("x", "x"): lambda i, j: (0,) + r[j, i],
+    }
+    cells = [("y", i) for i in idx] + [("x", i) for i in reversed(idx)]
+    hweights = [[UnitMonomial(params, 1, rules[s, t](i, j)) for t, j in cells]
+                for s, i in cells]
     total = 2 * n
-
-    def ypos(i):
-        return i - 1
-
-    def xpos(i):
-        return 2 * n - i
-
-    qmat = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            qmat[(ypos(i), ypos(j))] = p(i, j)
-            qmat[(xpos(j), xpos(i))] = r(i, j)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i < j:
-                qmat[(ypos(i), xpos(j))] = p(j, i)
-            elif i > j:
-                qmat[(ypos(i), xpos(j))] = r(i, j)
-            else:
-                qmat[(ypos(i), xpos(i))] = unit(c=-1)
-
-    one_poly = LaurentPoly.one(params)
-    c_poly = unit(c=1).as_poly()
-    cinv_minus_one = unit(c=-1).as_poly() - one_poly
-
-    # normal forms of the sums T_i = x_(i+1) y_(i+1) + ... + x_n y_n,
-    # built downward so each reordering may use the later sums
-    tsum = {n: {}}
-    for a in range(n, 0, -1):
-        key = [0] * total
-        key[ypos(a)] = 1
-        key[xpos(a)] = 1
-        flipped = {tuple(key): c_poly, (0,) * total: -c_poly}
-        for k, coef in tsum[a].items():
-            extra = (c_poly - one_poly) * coef
-            flipped[k] = flipped.get(k, LaurentPoly.zero(params)) + extra
-        prev = {k: c for k, c in flipped.items() if not c.is_zero()}
-        merged = dict(tsum[a])
-        for k, coef in prev.items():
-            merged[k] = merged.get(k, LaurentPoly.zero(params)) + coef
-        tsum[a - 1] = {k: c for k, c in merged.items() if not c.is_zero()}
-
+    qmat = {(a, b): hweights[a][b] for a in range(total) for b in range(a + 1, total)}
     tails = {}
-    for i in range(1, n + 1):
-        body = {(0,) * total: one_poly}
-        for k, coef in tsum[i].items():
-            body[k] = body.get(k, LaurentPoly.zero(params)) + cinv_minus_one * coef
-        tails[(ypos(i), xpos(i))] = {k: c for k, c in body.items() if not c.is_zero()}
-
-    qskew = [unit(c=-1)] * n + [unit()] * n
-
-    hweights = [[None] * total for _ in range(total)]
-    for i in range(1, n + 1):
-        row = hweights[ypos(i)]
-        for j in range(1, n + 1):
-            if i < j:
-                row[ypos(j)] = p(i, j)
-                row[xpos(j)] = p(j, i)
-            elif i > j:
-                row[ypos(j)] = r(j, i)
-                row[xpos(j)] = r(i, j)
-            else:
-                row[ypos(i)] = unit(c=1)
-                row[xpos(i)] = unit(c=-1)
-    for j in range(1, n + 1):
-        row = hweights[xpos(j)]
-        for a in range(1, n + 1):
-            if a == j:
-                row[ypos(a)] = unit()
-                row[xpos(a)] = unit()
-            else:
-                row[xpos(a)] = r(a, j)
-                row[ypos(a)] = r(j, a)
-
-    name = "quantum_weyl" if n == 1 else f"quantum_weyl{n}"
+    for i in idx:
+        body = {(0,) * total: LaurentPoly._make(params, {(n - i,) + rest: 1})}
+        for a in range(n, i, -1):
+            key = [0] * total
+            key[a - 1] = key[total - a] = 1
+            body[tuple(key)] = LaurentPoly._make(
+                params, {(a - i - 1,) + rest: 1, (a - i,) + rest: -1})
+        tails[i - 1, total - i] = body
+    name, gens = ("quantum_weyl", ("y", "x")) if n == 1 else (
+        f"quantum_weyl{n}", tuple(f"{s}{i}" for s, i in cells))
+    qskew = [UnitMonomial(params, 1, (e,) + rest) for e in (-1, 0)]
     return Presentation(
         name, params, gens, total,
-        qmat=qmat, tails=tails, qskew=qskew, hweights=hweights,
+        qmat=qmat, tails=tails, qskew=[qskew[0]] * n + [qskew[1]] * n,
+        hweights=hweights,
     )
 
 

@@ -2,9 +2,10 @@
 reference_presentation.py, and a count gate on the unit work they do.
 
 The builders and the constructor work on integer exponent vectors: no
-presentation is built through ``UnitMonomial.pow``, and a build makes at
-most one unit for each scalar it stores or mirrors.  Counts are the
-same on every machine, so a lost fast path fails here.
+presentation is built through ``UnitMonomial.pow`` or unit products, a
+build makes at most one unit for each scalar it stores or mirrors, and
+the Weyl tails are written down without Laurent arithmetic.  Counts are
+the same on every machine, so a lost fast path fails here.
 """
 
 import collections
@@ -26,6 +27,7 @@ from qsolv import (
 from qsolv.cli import parse_presentation, print_presentation
 from reference_presentation import (
     quantum_matrices_data,
+    quantum_weyl_data,
     reference_dense_table,
     reference_weight_rows,
 )
@@ -43,6 +45,16 @@ PRINTED = {
     7: "965951fe3f72a2ca12819905b25a42a6134852152462a694b1820d19c65d5293",
     8: "1c004e930a3dde05e5ee7805ce281e92554a46d48004cab11f0c166acd153c2e",
     9: "332bf359a4b9c500571e088f7f4652c04b07c7771715b54fc795906261c24d3f",
+}
+# sha256 of print_presentation(quantum_weyl(n)) from the former builder
+WEYL_PRINTED = {
+    1: "9bec92da39cb2ee2268ef3a05c53ffdbe0e23690e4e6a6f6ea36c030664046f5",
+    2: "ca10111f6db29625931e5cc6e5c7e2ac31919d1648c10f98b018ceabb4f5f93a",
+    3: "b86376c3b385b1279e130041e36d6d80046e31df3a0dc8144803d90e8f2cae80",
+    4: "12a09a5c7d8831078f90ef0b2fbba59072ae89eb76e4829792657ce08ba16b2d",
+    5: "0ce77637ce68941052a3840a9d4c08119e3beb8d7e7eb4f850a5b6f1cd638475",
+    6: "6ee4f0c0ac63caccf9fc1272e834c07e8b2d3efccc10a101dd7205004b5b83ad",
+    7: "71e167b03cd8a0d56e6e4ac5b391c1205f261f25021ed392e632f6b9acb9640a",
 }
 
 
@@ -63,6 +75,24 @@ def test_quantum_matrices_match_reference(n):
     assert hashlib.sha256(text.encode()).hexdigest() == PRINTED[n]
     if n <= 6:
         assert parse_presentation(text) == p
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_quantum_weyl_matches_reference(n):
+    name, params, gens, npoly, qmat, tails, qskew, hweights = quantum_weyl_data(n)
+    p = quantum_weyl(n)
+    assert (p.name, p.params, p.gens, p.n, p.m) == (name, params, gens, npoly, 0)
+    assert p.qmat == qmat
+    assert p.tails == tails
+    assert p.qskew == tuple(qskew)
+    assert p.hweights == tuple(map(tuple, hweights))
+    assert p._cu == reference_dense_table(p)
+    ref = Presentation(name, params, gens, npoly,
+                       qmat=qmat, tails=tails, qskew=qskew, hweights=hweights)
+    text = print_presentation(p)
+    assert text == print_presentation(ref)
+    assert hashlib.sha256(text.encode()).hexdigest() == WEYL_PRINTED[n]
+    assert parse_presentation(text) == p
 
 
 def signed_torus():
@@ -109,30 +139,46 @@ def test_default_weights_match_reference():
 
 @pytest.fixture
 def unit_calls(monkeypatch):
-    """Count UnitMonomial constructions and powers."""
+    """Count UnitMonomial constructions, powers and products, and
+    LaurentPoly sums, differences and products, by qualified name."""
     calls = collections.Counter()
-    for name in ("__init__", "pow"):
-        original = getattr(UnitMonomial, name)
+    for cls, names in ((UnitMonomial, ("__init__", "pow", "__mul__")),
+                       (LaurentPoly, ("__add__", "__sub__", "__mul__"))):
+        for name in names:
+            original = getattr(cls, name)
+            key = f"{cls.__name__}.{name}"
 
-        def counted(*args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(*args)
+            def counted(*args, _key=key, _original=original):
+                calls[_key] += 1
+                return _original(*args)
 
-        monkeypatch.setattr(UnitMonomial, name, counted)
+            monkeypatch.setattr(cls, name, counted)
     return calls
 
 
 def test_building_quantum_matrices_makes_one_unit_per_scalar(unit_calls):
     # the former builder made 2,511 powers and 13,816 units for n = 6
     p = quantum_matrices(6)
-    assert unit_calls["pow"] == 0
+    assert unit_calls["UnitMonomial.pow"] == 0
     stored = len(p.qmat) + len(p.qskew) + p.n * len(p.gens)
     mirrored = len(p.qmat)
-    assert unit_calls["__init__"] <= stored + mirrored
+    assert unit_calls["UnitMonomial.__init__"] <= stored + mirrored
+
+
+def test_building_quantum_weyl_makes_no_arithmetic(unit_calls):
+    # the former builder added and multiplied Laurent polynomials for
+    # every n, in its tail recursion and in c^-1 - 1
+    p = quantum_weyl(6)
+    arithmetic = ("UnitMonomial.pow", "UnitMonomial.__mul__", "LaurentPoly.__add__",
+                  "LaurentPoly.__sub__", "LaurentPoly.__mul__")
+    assert {name: unit_calls[name] for name in arithmetic} == dict.fromkeys(arithmetic, 0)
+    stored = len(p.qmat) + len(p.qskew) + p.n * len(p.gens)
+    mirrored = len(p.qmat)
+    assert unit_calls["UnitMonomial.__init__"] <= stored + mirrored
 
 
 def test_parsing_makes_no_unit_powers(unit_calls):
     text = (DATA / "matrices3.alg").read_text()
     p = parse_presentation(text)
-    assert unit_calls["pow"] == 0
+    assert unit_calls["UnitMonomial.pow"] == 0
     assert p == quantum_matrices(3)
