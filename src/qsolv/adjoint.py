@@ -274,6 +274,12 @@ def ad_minimal_polynomial(p, xidx, a, degree_cap=16):
         )
 
     degree = max(combo_found)
+    if degree == 0:
+        # only possible outside a domain, where a power of x kills the element
+        raise AdRootError(
+            "the element lifts to zero in the localization; "
+            "it has no minimal polynomial"
+        )
     lead = combo_found[degree]
     coeffs = [combo_found.get(t, zero) / lead for t in range(degree + 1)]
 

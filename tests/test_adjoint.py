@@ -222,6 +222,15 @@ def test_replacement_generator(weyl):
     assert replacement_generator(weyl, 0, 0) == loc_element(weyl, 0, weyl.gen(0))
 
 
+def test_element_that_lifts_to_zero_has_no_minimal_polynomial():
+    # the tail breaks WF and gives y*x = 0, so y vanishes once x is inverted
+    one = LaurentPoly.one(("q",))
+    p = Presentation("bad", ("q",), ("x", "y"), 2, tails={(0, 1): {(1, 1): one}})
+    for compute in (ad_minimal_polynomial, ad_eigencomponents):
+        with pytest.raises(AdRootError, match="lifts to zero"):
+            compute(p, 0, p.gen(1))
+
+
 def test_replacement_generator_needs_a_split():
     one = LaurentPoly.one(("q",))
     p = Presentation("jordan", ("q",), ("x", "y"), 2, tails={(0, 1): {(0, 0): one}})
