@@ -222,6 +222,18 @@ def test_replacement_generator(weyl):
     assert replacement_generator(weyl, 0, 0) == loc_element(weyl, 0, weyl.gen(0))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: quantum_weyl(1), lambda: quantum_weyl(2),
+    lambda: quantum_matrices(2), lambda: quantum_matrices(3),
+], ids=["weyl1", "weyl2", "matrices2", "matrices3"])
+def test_replacement_generators_q_commute_on_every_pair(build):
+    p = build()
+    for x in range(p.n):
+        for g in range(p.n):
+            z = replacement_generator(p, x, g)
+            assert ad_apply(p, x, z) == z.scale(p.commutation_unit(x, g))
+
+
 def test_element_that_lifts_to_zero_has_no_minimal_polynomial():
     # the tail breaks WF and gives y*x = 0, so y vanishes once x is inverted
     one = LaurentPoly.one(("q",))
