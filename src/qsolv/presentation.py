@@ -578,11 +578,10 @@ def quantum_weyl(n):
         tails[i - 1, total - i] = body
     name, gens = ("quantum_weyl", ("y", "x")) if n == 1 else (
         f"quantum_weyl{n}", tuple(f"{s}{i}" for s, i in cells))
-    qskew = [UnitMonomial(params, 1, (e,) + rest) for e in (-1, 0)]
     return Presentation(
         name, params, gens, total,
-        qmat=qmat, tails=tails, qskew=[qskew[0]] * n + [qskew[1]] * n,
-        hweights=hweights,
+        qmat=qmat, tails=tails, hweights=hweights,
+        qskew=[UnitMonomial(params, 1, (-int(s == "y"),) + rest) for s, _ in cells],
     )
 
 
