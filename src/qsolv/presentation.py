@@ -529,12 +529,21 @@ def quantum_matrices(n):
     )
 
 
+def _weyl_pair_names(n, pairs):
+    """Names of the parameters r_ij of quantum_weyl(n).  From n = 10 on
+    the indices are separated: run together, r_(1,112) and r_(11,12)
+    would both be r1112."""
+    sep = "_" if n >= 10 else ""
+    return tuple(f"r{i}{sep}{j}" for i, j in pairs)
+
+
 def quantum_weyl(n):
     """Quantum Weyl algebra on pairs y_i, x_i.
 
     PBW order is y_1..y_n, x_n..x_1.  The parameters are c and, for
-    n > 1, r_ij for i < j.  With r_ji = r_ij^(-1) and r_ii = 1, every
-    weight follows one of four rules,
+    n > 1, r_ij for i < j, named r{i}{j} below n = 10 and r{i}_{j} from
+    n = 10 on.  With r_ji = r_ij^(-1) and r_ii = 1, every weight follows
+    one of four rules,
 
         tau_(y_i)(y_j) = c^[i<=j] r_ji      tau_(y_i)(x_j) = c^-[i<=j] r_ij
         tau_(x_i)(y_j) = r_ij               tau_(x_i)(x_j) = r_ji
@@ -549,7 +558,7 @@ def quantum_weyl(n):
         raise FamilyError("quantum_weyl needs at least one pair")
     idx = range(1, n + 1)
     pairs = [(i, j) for i in idx for j in idx if i < j]
-    params = ("c",) + tuple(f"r{i}{j}" for i, j in pairs)
+    params = ("c",) + _weyl_pair_names(n, pairs)
     # exponents of r_ab after the c slot, with r_ba = r_ab^(-1) and r_aa = 1
     rest = (0,) * len(pairs)
     r = {(a, a): rest for a in idx}

@@ -25,6 +25,7 @@ from qsolv import (
     rank2,
 )
 from qsolv.cli import parse_presentation, print_presentation
+from qsolv.presentation import _weyl_pair_names
 from reference_presentation import (
     quantum_matrices_data,
     quantum_weyl_data,
@@ -93,6 +94,24 @@ def test_quantum_weyl_matches_reference(n):
     assert text == print_presentation(ref)
     assert hashlib.sha256(text.encode()).hexdigest() == WEYL_PRINTED[n]
     assert parse_presentation(text) == p
+
+
+def test_weyl_pair_names_stay_unique():
+    # without a separator r_(1,112) and r_(11,12) were both r1112, and
+    # quantum_weyl(112) raised duplicate parameter names
+    n = 112
+    names = _weyl_pair_names(n, [(i, j) for i in range(1, n + 1)
+                                 for j in range(i + 1, n + 1)])
+    assert len(set(names)) == len(names) == n * (n - 1) // 2
+    assert {"r1_112", "r11_12"} <= set(names)
+    assert _weyl_pair_names(9, [(1, 9)]) == ("r19",)
+    assert _weyl_pair_names(10, [(1, 10), (2, 3)]) == ("r1_10", "r2_3")
+
+
+def test_quantum_weyl_12_parses_back():
+    p = quantum_weyl(12)
+    assert p.params[1:3] == ("r1_2", "r1_3")
+    assert parse_presentation(print_presentation(p)) == p
 
 
 def signed_torus():
