@@ -38,9 +38,8 @@ def _divide_right_once(p, xidx, elem):
     for key, coef in elem.terms.items():
         if key[xidx] < 1:
             return None
-        for g in range(xidx + 1, p.n):
-            if key[g] and p.tail_terms(xidx, g):
-                return None
+        if any(key[g] for g in p._tailed_after[xidx]):
+            return None
         scalar = _conjugation_weight(p, xidx, (0,) * xidx + key[xidx:])
         newkey = list(key)
         newkey[xidx] -= 1

@@ -5,8 +5,11 @@ where the first n generators are polynomial (exponents in N) and the
 remaining m are invertible (exponents in Z).
 
 Products come from a table of right products M * g_a, an ordered
-monomial M times one polynomial letter g_a.  When a is at or after the
-last letter b of M the letter appends; otherwise M = M' g_b and the
+monomial M times one polynomial letter g_a.  A letter after g_a
+q-commutes with it when it is invertible, or polynomial with no tail
+T_ac; when every letter of M after g_a does, g_a moves into place by
+one scalar, the product of the commutation scalars it crosses, and no
+entry is filled.  Otherwise M = M' g_b with b its last letter, and the
 relation g_a g_b = u g_b g_a + T_ab gives
 
     M * g_a = u^-1 (M' * g_a) * g_b - u^-1 M' * T_ab,
@@ -16,11 +19,13 @@ folds right products over the letters of the right factor, and the
 invertible block moves by commutation scalars alone.  This reduction
 order fixes the leftmost out-of-order pair of a word first, so normal
 forms are the same as those of a word rewriter that does so, including
-on presentations whose relations are not confluent.  The table lives
-for one nf_mul call.  Filling it terminates because every tail lives in
-the subalgebra generated by strictly later generators; a fill budget and
-a check for fills that need their own result turn malformed tails into
-RewriteBudgetError.
+on presentations whose relations are not confluent: a move past letters
+with no tail makes no tail, so the rewriter reaches the same scalar.
+The table lives for one nf_mul call.  Filling it terminates because
+every tail lives in the subalgebra generated by strictly later
+generators; a budget on the fills, which happen only where a letter
+crosses a relation with a tail, and a check for fills that need their
+own result turn malformed tails into RewriteBudgetError.
 """
 
 from __future__ import annotations
@@ -238,9 +243,9 @@ class _RightTable:
 
     entries maps (M, a), with M an ordered monomial free of invertible
     letters, to the normal form of M * g_a as a term map.  Only products
-    that need rewriting are stored; a letter at or after the last letter
-    of M appends.  An entry holds None while it is being filled, so a
-    fill that asks for itself again is caught at once.
+    where g_a crosses a letter of M with a tail against it are stored;
+    the others are one scalar.  An entry holds None while it is being
+    filled, so a fill that asks for itself again is caught at once.
     """
 
     def __init__(self, pres, budget):
@@ -296,24 +301,32 @@ class _RightTable:
 
     def _times_letter(self, terms, a):
         """Generator behind times_letter: yields each (M, a) entry it
-        needs that is not filled yet and receives its term map."""
+        needs that is not filled yet and receives its term map.
+
+        A term whose letters after g_a all q-commute with it, being
+        invertible or polynomial with no tail against g_a, moves g_a into
+        place by one scalar; the rest move only the invertible block and
+        take M * g_a from the table."""
         pres, n = self.pres, self.pres.n
+        cu, tailed = pres._cu, pres._tailed_after[a]
         out = {}
         for key, coef in terms.items():
+            if not any(map(key.__getitem__, tailed)):
+                after = key[a + 1:]
+                if any(after):
+                    unit = unit_product(
+                        (cu[c][a], e) for c, e in enumerate(after, a + 1) if e)
+                    if not unit.is_one():
+                        coef = coef * unit.as_poly()
+                _accumulate(out, key[:a] + (key[a] + 1,) + after, coef)
+                continue
             kvec = key[n:]
             shifted = any(kvec)
             if shifted:
                 # k^kvec * g_a = unit * g_a * k^kvec
-                unit = unit_product(
-                    ((pres.commutation_unit(n + t, a), e)
-                     for t, e in enumerate(kvec) if e),
-                    pres.params,
-                )
+                unit = unit_product((cu[n + t][a], e) for t, e in enumerate(kvec) if e)
                 if not unit.is_one():
                     coef = coef * unit.as_poly()
-            if a >= _last_letter(key, n):
-                _accumulate(out, key[:a] + (key[a] + 1,) + key[a + 1:], coef)
-                continue
             mono = key[:n] + self.zero_k if shifted else key
             entry = self.entries.get((mono, a))
             if entry is None:
@@ -325,8 +338,8 @@ class _RightTable:
         return out
 
     def _fill(self, mono, a):
-        """Generator for the entry M * g_a, where a comes before the last
-        letter b of M = M' g_b:
+        """Generator for the entry M * g_a, where M = M' g_b holds a letter
+        with a tail against g_a, so a comes before its last letter b:
 
             M * g_a = u^-1 (M' * g_a) * g_b - u^-1 M' * T_ab
 
@@ -351,41 +364,47 @@ class _RightTable:
 def nf_mul(left, right, budget=DEFAULT_BUDGET):
     """Product of two normal-form elements, again in normal form.
 
-    Each pair of terms multiplies as monomials.  A pair already in order
-    adds exponent keys.  Otherwise the left monomial is multiplied on the
-    right by the letters of the right one, lowest first, through a table
-    of right products M * g_a (see _RightTable), and the invertible block
-    of the right monomial joins last.  The table is local to this call.
+    Each pair of terms multiplies as monomials.  When no letter of the
+    left monomial that comes after a letter g_a of the right one has a
+    tail against g_a, every crossing pair q-commutes, and the product is
+    one normal_scalar times the sum of the exponent keys; a pair already
+    in order is the case with no crossing pairs.  Otherwise the left
+    monomial is multiplied on the right by the letters of the right one,
+    lowest first, through a table of right products M * g_a (see
+    _RightTable), and the invertible block of the right monomial joins
+    last.  The table is local to this call.
 
-    budget caps the number of table fills; exceeding it, or a fill that
-    needs its own result, raises RewriteBudgetError.
+    budget caps the number of table fills, which happen only where a
+    letter moves across a relation with a tail; exceeding it, or a fill
+    that needs its own result, raises RewriteBudgetError.
     """
     if left.pres is not right.pres:
         left._check(right)
     pres = left.pres
-    n = pres.n
+    n, tailed = pres.n, pres._tailed_after
     table = _RightTable(pres, budget)
-    rights = [(k2, c2, _word(k2, n), k2[n:]) for k2, c2 in right.terms.items()]
+    rights = [
+        (k2, c2, {c for a in range(n) if k2[a] for c in tailed[a]},
+         next((j for j, e in enumerate(k2) if e), len(k2)))
+        for k2, c2 in right.terms.items()
+    ]
     out = {}
     for k1, c1 in left.terms.items():
-        last = _last_letter(k1, n)
-        s1 = k1[n:]
-        for k2, c2, w2, s2 in rights:
+        last1 = max((i for i, e in enumerate(k1) if e), default=-1)
+        for k2, c2, crossers, first2 in rights:
             coef = c1 * c2
-            if not w2 or last <= w2[0]:
-                if any(s1):
-                    # the letters of k1 come first, so only k^s1 moves
-                    scalar = normal_scalar(pres.commutation_unit, k1, k2,
-                                           pres.params)
+            if not any(map(k1.__getitem__, crossers)):
+                if last1 > first2:  # a letter of k1 comes after one of k2
+                    scalar = normal_scalar(pres.commutation_unit, k1, k2, pres.params)
                     if not scalar.is_one():
                         coef = coef * scalar.as_poly()
                 _accumulate(out, tuple(x + y for x, y in zip(k1, k2)), coef)
                 continue
             terms = {k1: coef}
-            for a in w2:
+            for a in _word(k2, n):
                 terms = table.times_letter(terms, a)
-            if any(s2):
-                terms = _times_kblock(pres, terms, s2)
+            if any(k2[n:]):
+                terms = _times_kblock(pres, terms, k2[n:])
             for key, c in terms.items():
                 _accumulate(out, key, c)
     return NFElement._make(pres, out)

@@ -47,10 +47,12 @@ class Presentation(Frozen):
 
     Immutable; mutating helpers return fresh instances.  The engine-form
     tails are memoized in ``_tailcache``, a dict filled in place.
+    ``_tailed_after[a]`` lists the later polynomial letters c whose
+    relation with g_a has a tail; every other letter q-commutes with g_a.
     """
 
     __slots__ = ("name", "params", "gens", "n", "m", "_index", "qmat", "_cu",
-                 "tails", "qskew", "hweights", "_tailcache")
+                 "tails", "_tailed_after", "qskew", "hweights", "_tailcache")
 
     def __init__(self, name, params, gens, npoly, *, qmat=None, tails=None,
                  qskew=None, hweights=None):
@@ -146,6 +148,8 @@ class Presentation(Frozen):
         _set_field(self, "qmat", stored)
         _set_field(self, "_cu", cu)
         _set_field(self, "tails", clean_tails)
+        _set_field(self, "_tailed_after", tuple(
+            tuple(c for c in range(a + 1, n) if (a, c) in clean_tails) for a in range(n)))
         _set_field(self, "qskew", qskew)
         _set_field(self, "hweights", tuple(tuple(r) for r in rows))
         _set_field(self, "_tailcache", {})

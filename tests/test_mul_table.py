@@ -7,9 +7,12 @@ quantum_matrices(3), whose relations are not confluent.
 
 import itertools
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
+import qsolv
 from qsolv import (
     LaurentPoly,
     Presentation,
@@ -23,7 +26,10 @@ from qsolv import (
     rank2,
     validate_presentation,
 )
+from qsolv.normalform import _RightTable
 from reference_rewriter import reference_mul
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def plane_torus():
@@ -84,6 +90,47 @@ def test_random_products_match_word_rewriter(p):
         assert_same_normal_form(nf_mul(a, b), reference_mul(a, b))
 
 
+def mixed_presentation(rng):
+    """3-5 polynomial and 0-2 invertible generators with random scalars and
+    a random subset of the polynomial pairs carrying a tail.  A tail of
+    (i, j) uses letters after i only, among them invertible ones."""
+    params = ("q", "r")
+    n, m = rng.randint(3, 5), rng.randint(0, 2)
+    total = n + m
+    qmat = {
+        (a, b): UnitMonomial(params, rng.choice([1, -1]),
+                             (rng.randint(-2, 2), rng.randint(-1, 1)))
+        for a in range(total) for b in range(a + 1, total) if rng.random() < 0.8
+    }
+    pairs = list(itertools.combinations(range(n), 2))
+    tails = {}
+    for i, j in rng.sample(pairs, rng.randint(1, len(pairs) - 1)):
+        body = {}
+        for _ in range(rng.randint(1, 2)):
+            key = [0] * total
+            for _ in range(rng.randint(0, 2)):
+                key[rng.randrange(i + 1, n)] += 1
+            for pos in range(n, total):
+                key[pos] = rng.randint(-1, 1)
+            body[tuple(key)] = rng.choice([-2, -1, 1, 3])
+        tails[i, j] = body
+    gens = tuple(f"g{a}" for a in range(n)) + tuple(f"k{t}" for t in range(m))
+    return Presentation("mixed", params, gens, n, qmat=qmat, tails=tails)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_mixed_tails_match_word_rewriter(seed):
+    # a letter moves by one scalar across the pairs without a tail and
+    # through the table across the others; both must agree with the
+    # rewriter, which swaps one adjacent pair at a time
+    rng = random.Random(seed)
+    p = mixed_presentation(rng)
+    for _ in range(25):
+        a = _random_element(p, rng)
+        b = _random_element(p, rng)
+        assert_same_normal_form(nf_mul(a, b), reference_mul(a, b))
+
+
 def test_invertible_tail_moves_across_later_letters():
     # the tail k of x*y must pass y and x on its way to the right
     p = plane_torus()
@@ -117,6 +164,77 @@ def test_weyl_power_fill_counts(k, terms, fills):
         nf_mul(w.gen_power(1, k), w.gen_power(0, k), budget=fills - 1)
     message = str(err.value)
     assert "x*y" in message and str(fills - 1) in message
+
+
+# g^k * h^k and the table fills it needs: only a move across a relation
+# with a tail fills an entry (64, 16, 96 and 96 fills when every
+# out-of-order letter moved through the table)
+POWER_FILLS = [
+    (quantum_plane(), "y", "x", 8, 0),
+    (quantum_matrices(3), "a22", "a13", 4, 0),
+    (quantum_matrices(3), "a33", "a11", 4, 30),
+    (quantum_weyl(2), "x1", "y1", 4, 48),
+]
+
+
+@pytest.mark.parametrize("p, left, right, k, fills", POWER_FILLS,
+                         ids=lambda v: getattr(v, "name", str(v)))
+def test_power_fill_counts(p, left, right, k, fills):
+    gk, hk = p.gen_power(p.position(left), k), p.gen_power(p.position(right), k)
+    product = nf_mul(gk, hk, budget=fills)
+    assert_same_normal_form(product, nf_mul(gk, hk))
+    if fills:
+        with pytest.raises(RewriteBudgetError):
+            nf_mul(gk, hk, budget=fills - 1)
+
+
+def _least_budget(left, right):
+    """The fewest table fills that nf_mul(left, right) succeeds with."""
+    def fits(budget):
+        try:
+            nf_mul(left, right, budget=budget)
+        except RewriteBudgetError:
+            return False
+        return True
+
+    low, high = -1, 1
+    while not fits(high):
+        low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (low, mid) if fits(mid) else (mid, high)
+    return high
+
+
+def test_power_ladder_fill_count():
+    # g_j^k * g_i^k for every i < j, the ladder of the powers benchmark:
+    # 3,161 fills when every out-of-order letter moved through the table
+    ladders = ((quantum_weyl(1), 6), (quantum_weyl(2), 4),
+               (quantum_matrices(2), 5), (quantum_matrices(3), 4))
+    total = 0
+    for p, kmax in ladders:
+        for i, j in itertools.combinations(range(p.n), 2):
+            for k in range(1, kmax + 1):
+                total += _least_budget(p.gen_power(j, k), p.gen_power(i, k))
+    assert total == 751
+
+
+def test_products_round_fill_count(monkeypatch):
+    # one round of the products benchmark made 11,344 fills when every
+    # out-of-order letter moved through the table
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    fills = []
+    start = _RightTable._start_fill
+    monkeypatch.setattr(_RightTable, "_start_fill",
+                        lambda table, request: fills.append(1) or start(table, request))
+    context = workloads.Context("full", None, None, True)
+    for op in workloads.build("products", qsolv, random.Random(3), context):
+        op.run()
+    assert len(fills) <= 3558
 
 
 def test_fills_read_the_inverse_from_the_dense_table(monkeypatch):
