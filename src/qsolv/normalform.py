@@ -21,8 +21,10 @@ order fixes the leftmost out-of-order pair of a word first, so normal
 forms are the same as those of a word rewriter that does so, including
 on presentations whose relations are not confluent: a move past letters
 with no tail makes no tail, so the rewriter reaches the same scalar.
-The table lives for one nf_mul call.  Filling it terminates because
-every tail lives in the subalgebra generated by strictly later
+An entry is a fixed function of the presentation, so the table lives
+on the presentation and nf_mul calls share its fills; a call with an
+explicit budget fills a table of its own.  Filling it terminates
+because every tail lives in the subalgebra generated by strictly later
 generators; a budget on the fills, which happen only where a letter
 crosses a relation with a tail, and a check for fills that need their
 own result turn malformed tails into RewriteBudgetError.
@@ -39,6 +41,11 @@ from .params import (
 )
 
 DEFAULT_BUDGET = 10**6
+
+# The most right products a presentation keeps between nf_mul calls; a
+# call that leaves more clears them.  One round of any benchmark workload
+# holds at most 419 entries, over all of its presentations.
+_TABLE_CAP = 1024
 
 
 def _coerce_coef(pres, value):
@@ -239,19 +246,27 @@ def _times_kblock(pres, terms, kvec):
 
 
 class _RightTable:
-    """Right products M * g_a for the length of one nf_mul call.
+    """Right products M * g_a, as one nf_mul call fills and reads them.
 
     entries maps (M, a), with M an ordered monomial free of invertible
     letters, to the normal form of M * g_a as a term map.  Only products
     where g_a crosses a letter of M with a tail against it are stored;
-    the others are one scalar.  An entry holds None while it is being
-    filled, so a fill that asks for itself again is caught at once.
+    the others are one scalar.  With no budget, entries is the dict kept
+    on the presentation (``Presentation._rtable``), shared by every such
+    call; with a budget it is a dict of this call alone, so whether the
+    call runs out does not depend on earlier calls.  Only finished
+    entries go into it: an entry being filled is in ``pending``, local
+    to the call, so a fill that asks for itself again is caught at once
+    and an interrupted call leaves no half-filled entry behind.
     """
 
     def __init__(self, pres, budget):
         self.pres = pres
-        self.budget = budget
-        self.entries = {}
+        if budget is None:
+            self.budget, self.entries = DEFAULT_BUDGET, pres._rtable
+        else:
+            self.budget, self.entries = budget, {}
+        self.pending = set()
         self.fills = 0
         self.zero_k = (0,) * pres.m
 
@@ -271,6 +286,7 @@ class _RightTable:
                 stack.pop()
                 if not stack:
                     return done.value
+                self.pending.discard(need)
                 self.entries[need] = value = done.value
                 continue
             self._start_fill(request)
@@ -280,11 +296,11 @@ class _RightTable:
     def _start_fill(self, request):
         """Count a fill and mark its entry as in progress; raise when the
         budget is spent or the entry is already being filled."""
-        looped = request in self.entries
+        looped = request in self.pending
         if not looped:
             self.fills += 1
             if self.fills <= self.budget:
-                self.entries[request] = None
+                self.pending.add(request)
                 return
         mono, a = request
         gens = self.pres.gens
@@ -361,7 +377,7 @@ class _RightTable:
         return out
 
 
-def nf_mul(left, right, budget=DEFAULT_BUDGET):
+def nf_mul(left, right, budget=None):
     """Product of two normal-form elements, again in normal form.
 
     Each pair of terms multiplies as monomials.  When no letter of the
@@ -372,11 +388,15 @@ def nf_mul(left, right, budget=DEFAULT_BUDGET):
     monomial is multiplied on the right by the letters of the right one,
     lowest first, through a table of right products M * g_a (see
     _RightTable), and the invertible block of the right monomial joins
-    last.  The table is local to this call.
+    last.
 
-    budget caps the number of table fills, which happen only where a
-    letter moves across a relation with a tail; exceeding it, or a fill
-    that needs its own result, raises RewriteBudgetError.
+    Without a budget, the call reads and extends the table kept on the
+    presentation, so it fills only the entries no earlier call has, and
+    DEFAULT_BUDGET caps its new fills.  With a budget, it fills a table
+    of its own from empty: budget caps the number of fills the product
+    needs, which happen only where a letter moves across a relation
+    with a tail, whatever ran before.  Exceeding the cap, or a fill that
+    needs its own result, raises RewriteBudgetError.
     """
     if left.pres is not right.pres:
         left._check(right)
@@ -407,6 +427,8 @@ def nf_mul(left, right, budget=DEFAULT_BUDGET):
                 terms = _times_kblock(pres, terms, k2[n:])
             for key, c in terms.items():
                 _accumulate(out, key, c)
+    if len(table.entries) > _TABLE_CAP:
+        table.entries.clear()
     return NFElement._make(pres, out)
 
 
@@ -425,7 +447,7 @@ def tau_apply(pres, i, element, power=1):
     return NFElement(pres, terms)
 
 
-def delta_apply(pres, i, element, budget=DEFAULT_BUDGET):
+def delta_apply(pres, i, element, budget=None):
     """The skew derivation at generator i: delta(a) = x_i a - tau(a) x_i.
 
     Defined on the subalgebra generated by later generators; the result
@@ -498,7 +520,7 @@ def q_binomial_at_unit(n, i, unit):
     return total
 
 
-def q_leibniz_expand(pres, i, npow, element, budget=DEFAULT_BUDGET):
+def q_leibniz_expand(pres, i, npow, element, budget=None):
     """Expand x_i^npow * a through the twisted Leibniz rule.
 
     Returns sum_j C(npow, j)_{q_i} tau^(npow-j) delta^j (a) x_i^(npow-j),

@@ -38,6 +38,7 @@ class Frozen:
     """
 
     __slots__ = ()
+    _memos = ()  # fields holding memo dicts, which copies start empty
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -50,6 +51,7 @@ class Frozen:
         fields = dict(getattr(self, "__dict__", ()))
         for cls in type(self).__mro__:
             fields.update((f, getattr(self, f)) for f in cls.__dict__.get("__slots__", ()))
+        fields.update((f, {}) for f in self._memos)
         return _rebuild, (type(self), fields)
 
 

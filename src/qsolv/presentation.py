@@ -45,14 +45,17 @@ def _coerce_unit(params, value, where):
 class Presentation(Frozen):
     """Generators, commutation scalars, tails and weight data.
 
-    Immutable; mutating helpers return fresh instances.  The engine-form
-    tails are memoized in ``_tailcache``, a dict filled in place.
+    Immutable; mutating helpers return fresh instances.  Two memo dicts
+    are filled in place: ``_tailcache`` holds the engine-form tails, and
+    ``_rtable`` the right products M * g_a that nf_mul calls share (see
+    normalform._RightTable).  Copies and pickles start them empty.
     ``_tailed_after[a]`` lists the later polynomial letters c whose
     relation with g_a has a tail; every other letter q-commutes with g_a.
     """
 
     __slots__ = ("name", "params", "gens", "n", "m", "_index", "qmat", "_cu",
-                 "tails", "_tailed_after", "qskew", "hweights", "_tailcache")
+                 "tails", "_tailed_after", "qskew", "hweights", "_tailcache", "_rtable")
+    _memos = ("_tailcache", "_rtable")
 
     def __init__(self, name, params, gens, npoly, *, qmat=None, tails=None,
                  qskew=None, hweights=None):
@@ -153,6 +156,7 @@ class Presentation(Frozen):
         _set_field(self, "qskew", qskew)
         _set_field(self, "hweights", tuple(tuple(r) for r in rows))
         _set_field(self, "_tailcache", {})
+        _set_field(self, "_rtable", {})
 
     # -- lookups ---------------------------------------------------------
 

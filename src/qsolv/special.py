@@ -181,6 +181,7 @@ class SpecTarget(Frozen):
     nowhere (transcendental mode keeps them symbolic)."""
 
     __slots__ = ("kind", "values", "order", "exponents", "_roots")
+    _memos = ("_roots",)
 
     def __init__(self, kind, values=None, order=None, exponents=None):
         _set_field(self, "kind", kind)

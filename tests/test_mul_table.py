@@ -6,6 +6,7 @@ quantum_matrices(3), whose relations are not confluent.
 """
 
 import itertools
+import pickle
 import random
 import sys
 from pathlib import Path
@@ -26,7 +27,8 @@ from qsolv import (
     rank2,
     validate_presentation,
 )
-from qsolv.normalform import _RightTable
+from qsolv import normalform
+from qsolv.normalform import NFElement, _RightTable
 from reference_rewriter import reference_mul
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -206,22 +208,43 @@ def _least_budget(left, right):
     return high
 
 
-def test_power_ladder_fill_count():
-    # g_j^k * g_i^k for every i < j, the ladder of the powers benchmark:
-    # 3,161 fills when every out-of-order letter moved through the table
-    ladders = ((quantum_weyl(1), 6), (quantum_weyl(2), 4),
-               (quantum_matrices(2), 5), (quantum_matrices(3), 4))
-    total = 0
-    for p, kmax in ladders:
+def power_ladders():
+    """g_j^k * g_i^k for every i < j and k up to kmax, the ladder of the
+    powers benchmark."""
+    for p, kmax in ((quantum_weyl(1), 6), (quantum_weyl(2), 4),
+                    (quantum_matrices(2), 5), (quantum_matrices(3), 4)):
         for i, j in itertools.combinations(range(p.n), 2):
             for k in range(1, kmax + 1):
-                total += _least_budget(p.gen_power(j, k), p.gen_power(i, k))
+                yield p.gen_power(j, k), p.gen_power(i, k)
+
+
+def test_power_ladder_fill_count():
+    # 3,161 fills when every out-of-order letter moved through the table
+    total = 0
+    for left, right in power_ladders():
+        total += _least_budget(left, right)
     assert total == 751
 
 
-def test_products_round_fill_count(monkeypatch):
-    # one round of the products benchmark made 11,344 fills when every
-    # out-of-order letter moved through the table
+def test_budgeted_calls_ignore_the_shared_table():
+    # a call with a budget fills a table of its own, so what it needs does
+    # not depend on the entries earlier calls left on the presentation
+    w = quantum_weyl(1)
+    x8, y8 = w.gen_power(1, 8), w.gen_power(0, 8)
+    product = nf_mul(x8, y8)
+    assert len(w._rtable) == 64
+    with pytest.raises(RewriteBudgetError):
+        nf_mul(x8, y8, budget=63)
+    assert nf_mul(x8, y8, budget=64) == product
+    total = 0
+    for left, right in power_ladders():
+        nf_mul(left, right)
+        total += _least_budget(left, right)
+    assert total == 751
+
+
+def _round_fills(monkeypatch, workload):
+    """Table fills made by the timed calls of one benchmark round, seed 3."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
         import workloads
@@ -232,9 +255,24 @@ def test_products_round_fill_count(monkeypatch):
     monkeypatch.setattr(_RightTable, "_start_fill",
                         lambda table, request: fills.append(1) or start(table, request))
     context = workloads.Context("full", None, None, True)
-    for op in workloads.build("products", qsolv, random.Random(3), context):
+    for op in workloads.build(workload, qsolv, random.Random(3), context):
         op.run()
-    assert len(fills) <= 3558
+    return len(fills)
+
+
+def test_products_round_fill_count(monkeypatch):
+    # one round of the products benchmark made 11,344 fills when every
+    # out-of-order letter moved through the table
+    assert _round_fills(monkeypatch, "products") <= 3558
+
+
+@pytest.mark.parametrize("workload, fills", [("products", 327), ("powers", 419),
+                                             ("spectra", 54)])
+def test_round_fills_each_entry_once(monkeypatch, workload, fills):
+    # nf_mul calls share their presentation's table, so a round fills each
+    # (presentation, entry) pair once; 3,558, 751 and 1,052 fills when
+    # every call filled a table of its own
+    assert _round_fills(monkeypatch, workload) <= fills
 
 
 def test_fills_read_the_inverse_from_the_dense_table(monkeypatch):
@@ -280,3 +318,86 @@ def test_tails_that_fail_wf_raise_at_once():
         nf_mul(bc, a)
     message = str(err.value)
     assert "c*a" in message and "not well-founded" in message
+
+
+def assert_entries_finished(p):
+    """Every entry of the presentation's shared table is the whole normal
+    form of its right product M * g_a."""
+    for (mono, a), entry in p._rtable.items():
+        assert_same_normal_form(NFElement(p, entry), reference_mul(p.monomial(mono), p.gen(a)))
+
+
+class Interrupted(Exception):
+    pass
+
+
+def test_interrupted_call_leaves_only_finished_entries(monkeypatch):
+    w = quantum_weyl(1)
+    x5, y5 = w.gen_power(1, 5), w.gen_power(0, 5)
+    fill, started = _RightTable._fill, []
+
+    def fill_until_tenth(table, mono, a):
+        started.append((mono, a))
+        if len(started) == 10:
+            raise Interrupted
+        return fill(table, mono, a)
+
+    monkeypatch.setattr(_RightTable, "_fill", fill_until_tenth)
+    with pytest.raises(Interrupted):
+        nf_mul(x5, y5)
+    monkeypatch.undo()
+    # the fills still open when the call stopped left nothing behind
+    assert 0 < len(w._rtable) < 9
+    assert_entries_finished(w)
+    assert_same_normal_form(nf_mul(x5, y5), reference_mul(x5, y5))
+    assert len(w._rtable) == 25
+    assert_entries_finished(w)
+
+
+def test_fill_that_needs_itself_leaves_no_marker():
+    p = looping_presentation()
+    a, bc = p.gen(0), nf_mul(p.gen(1), p.gen(2))
+    for _ in range(2):
+        with pytest.raises(RewriteBudgetError, match="not well-founded"):
+            nf_mul(bc, a)
+        assert all(isinstance(entry, dict) for entry in p._rtable.values())
+
+
+def test_interleaved_products_match_word_rewriter():
+    # the non-confluent family and the invertible block, one shared table
+    # each, multiplied in a random order
+    rng = random.Random(17)
+    pair = (quantum_matrices(3), plane_torus())
+    for _ in range(60):
+        p = rng.choice(pair)
+        a, b = _random_element(p, rng), _random_element(p, rng)
+        assert_same_normal_form(nf_mul(a, b), reference_mul(a, b))
+    for p in pair:
+        assert p._rtable
+        assert_entries_finished(p)
+
+
+def test_table_cap_bounds_the_shared_entries(monkeypatch):
+    monkeypatch.setattr(normalform, "_TABLE_CAP", 8)
+    w = quantum_weyl(1)
+    held = []
+    for i, j in itertools.product(range(1, 6), repeat=2):
+        left, right = w.gen_power(1, i), w.gen_power(0, j)
+        assert_same_normal_form(nf_mul(left, right), reference_mul(left, right))
+        held.append(len(w._rtable))
+    # kept while under the cap, cleared by a call that leaves more
+    assert max(held) == 8 and held.count(0) > 1
+
+
+def test_pickles_leave_the_memo_tables_behind():
+    w = quantum_weyl(1)
+    size = len(pickle.dumps(w))
+    products = [nf_mul(w.gen_power(1, k), w.gen_power(0, k)) for k in range(1, 9)]
+    assert w._rtable and w._tailcache
+    assert len(pickle.dumps(w)) == size
+    dup = pickle.loads(pickle.dumps(w))
+    assert dup._rtable == {} and dup._tailcache == {}
+    for k, product in enumerate(products, 1):
+        again = nf_mul(dup.gen_power(1, k), dup.gen_power(0, k))
+        assert again.pres is dup
+        assert_same_normal_form(again, product)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -434,3 +435,14 @@ def test_root_of_unity_witness():
 def test_root_of_unity_witness_needs_tail_free():
     with pytest.raises(SpecializationError):
         root_of_unity_witness(quantum_weyl(1), 3)
+
+
+def test_spec_target_pickles_without_its_roots():
+    target = SpecTarget.cyclotomic(12, {"q": 1})
+    size = len(pickle.dumps(target))
+    unit = UnitMonomial.var(("q",), "q", 5, sign=-1)
+    value = target.unit_value(unit)
+    assert target._roots
+    assert len(pickle.dumps(target)) == size
+    dup = pickle.loads(pickle.dumps(target))
+    assert dup._roots == {} and dup.unit_value(unit) == value
