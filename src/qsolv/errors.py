@@ -10,7 +10,9 @@ class PresentationError(QsolvError):
 
 
 class RewriteBudgetError(QsolvError):
-    """The rewriting engine exceeded its step budget."""
+    """A product made more right-product table fills than one nf_mul call
+    may (normalform.DEFAULT_BUDGET), or a fill needed its own result
+    because the tails are not well-founded."""
 
 
 class LocalizationError(QsolvError):

@@ -22,12 +22,12 @@ forms are the same as those of a word rewriter that does so, including
 on presentations whose relations are not confluent: a move past letters
 with no tail makes no tail, so the rewriter reaches the same scalar.
 An entry is a fixed function of the presentation, so the table lives
-on the presentation and nf_mul calls share its fills; a call with an
-explicit budget fills a table of its own.  Filling it terminates
-because every tail lives in the subalgebra generated by strictly later
-generators; a budget on the fills, which happen only where a letter
-crosses a relation with a tail, and a check for fills that need their
-own result turn malformed tails into RewriteBudgetError.
+on the presentation and every nf_mul call reads and extends it.  Filling
+it terminates because every tail lives in the subalgebra generated by
+strictly later generators; a cap of DEFAULT_BUDGET new fills per call,
+which happen only where a letter crosses a relation with a tail, and a
+check for fills that need their own result turn malformed tails into
+RewriteBudgetError.
 """
 
 from __future__ import annotations
@@ -40,6 +40,8 @@ from .params import (
     term_text, unit_product,
 )
 
+# The most table fills one nf_mul call may add.  _RightTable reads it at
+# each fill, not at import, so a lowered value holds from the next call.
 DEFAULT_BUDGET = 10**6
 
 # The most right products a presentation keeps between nf_mul calls; a
@@ -223,6 +225,19 @@ def _word(key, n):
     return word
 
 
+def _tail_terms(pres, a, b):
+    """Tail of the (a, b) relation in the form fills read: a tuple of
+    (coefficient, ascending letter word, invertible exponents), kept in
+    ``pres._tailcache``."""
+    cached = pres._tailcache.get((a, b))
+    if cached is None:
+        n = pres.n
+        cached = pres._tailcache[(a, b)] = tuple(
+            (coef, tuple(_word(key, n)), key[n:])
+            for key, coef in pres.tails.get((a, b), {}).items())
+    return cached
+
+
 def _accumulate(out, key, coef):
     """out[key] += coef, dropping the key when the sum cancels."""
     if key in out:
@@ -251,21 +266,18 @@ class _RightTable:
     entries maps (M, a), with M an ordered monomial free of invertible
     letters, to the normal form of M * g_a as a term map.  Only products
     where g_a crosses a letter of M with a tail against it are stored;
-    the others are one scalar.  With no budget, entries is the dict kept
-    on the presentation (``Presentation._rtable``), shared by every such
-    call; with a budget it is a dict of this call alone, so whether the
-    call runs out does not depend on earlier calls.  Only finished
-    entries go into it: an entry being filled is in ``pending``, local
-    to the call, so a fill that asks for itself again is caught at once
-    and an interrupted call leaves no half-filled entry behind.
+    the others are one scalar.  entries is the dict kept on the
+    presentation (``Presentation._rtable``), shared by every call, and
+    ``fills`` counts the entries this call adds, at most DEFAULT_BUDGET.
+    Only finished entries go into it: an entry being filled is in
+    ``pending``, local to the call, so a fill that asks for itself again
+    is caught at once and an interrupted call leaves no half-filled entry
+    behind.
     """
 
-    def __init__(self, pres, budget):
+    def __init__(self, pres):
         self.pres = pres
-        if budget is None:
-            self.budget, self.entries = DEFAULT_BUDGET, pres._rtable
-        else:
-            self.budget, self.entries = budget, {}
+        self.entries = pres._rtable
         self.pending = set()
         self.fills = 0
         self.zero_k = (0,) * pres.m
@@ -295,11 +307,12 @@ class _RightTable:
 
     def _start_fill(self, request):
         """Count a fill and mark its entry as in progress; raise when the
-        budget is spent or the entry is already being filled."""
+        call has made DEFAULT_BUDGET fills or the entry is already being
+        filled."""
         looped = request in self.pending
         if not looped:
             self.fills += 1
-            if self.fills <= self.budget:
+            if self.fills <= DEFAULT_BUDGET:
                 self.pending.add(request)
                 return
         mono, a = request
@@ -311,8 +324,8 @@ class _RightTable:
                 "table fills; the tails are not well-founded"
             )
         raise RewriteBudgetError(
-            f"rewriting exceeded {self.budget} table fills at {pair}; "
-            "check tail well-formedness or raise the budget"
+            f"rewriting exceeded {DEFAULT_BUDGET} table fills at {pair}; "
+            "check tail well-formedness"
         )
 
     def _times_letter(self, terms, a):
@@ -366,7 +379,7 @@ class _RightTable:
         u_inv = pres.commutation_unit(b, a).as_poly()  # the mirrored entry is u^-1
         swapped = yield from self._times_letter({prev: u_inv}, a)
         out = yield from self._times_letter(swapped, b)
-        for t_coef, t_word, t_kvec in pres.tail_terms(a, b):
+        for t_coef, t_word, t_kvec in _tail_terms(pres, a, b):
             part = {prev: -u_inv * t_coef}
             for letter in t_word:
                 part = yield from self._times_letter(part, letter)
@@ -377,7 +390,7 @@ class _RightTable:
         return out
 
 
-def nf_mul(left, right, budget=None):
+def nf_mul(left, right):
     """Product of two normal-form elements, again in normal form.
 
     Each pair of terms multiplies as monomials.  When no letter of the
@@ -390,19 +403,16 @@ def nf_mul(left, right, budget=None):
     _RightTable), and the invertible block of the right monomial joins
     last.
 
-    Without a budget, the call reads and extends the table kept on the
-    presentation, so it fills only the entries no earlier call has, and
-    DEFAULT_BUDGET caps its new fills.  With a budget, it fills a table
-    of its own from empty: budget caps the number of fills the product
-    needs, which happen only where a letter moves across a relation
-    with a tail, whatever ran before.  Exceeding the cap, or a fill that
-    needs its own result, raises RewriteBudgetError.
+    The call reads and extends the table kept on the presentation, so it
+    fills only the entries no earlier call has, and DEFAULT_BUDGET caps
+    its new fills.  Exceeding the cap, or a fill that needs its own
+    result, raises RewriteBudgetError.
     """
     if left.pres is not right.pres:
         left._check(right)
     pres = left.pres
     n, tailed = pres.n, pres._tailed_after
-    table = _RightTable(pres, budget)
+    table = _RightTable(pres)
     rights = [
         (k2, c2, {c for a in range(n) if k2[a] for c in tailed[a]},
          next((j for j, e in enumerate(k2) if e), len(k2)))
@@ -447,7 +457,7 @@ def tau_apply(pres, i, element, power=1):
     return NFElement(pres, terms)
 
 
-def delta_apply(pres, i, element, budget=None):
+def delta_apply(pres, i, element):
     """The skew derivation at generator i: delta(a) = x_i a - tau(a) x_i.
 
     Defined on the subalgebra generated by later generators; the result
@@ -460,8 +470,7 @@ def delta_apply(pres, i, element, budget=None):
             "delta is defined on the subalgebra of later generators only"
         )
     x = pres.gen(i)
-    result = nf_mul(x, element, budget) - nf_mul(tau_apply(pres, i, element), x, budget)
-    return result
+    return nf_mul(x, element) - nf_mul(tau_apply(pres, i, element), x)
 
 
 def skew_action(pres, i, kind, element):
@@ -476,8 +485,8 @@ def skew_action(pres, i, kind, element):
 # -- Gaussian binomials and the twisted Leibniz rule ---------------------
 
 
-def q_binomial(n, i, params=("q",), slot=0):
-    """Gaussian binomial coefficient as a polynomial in one parameter.
+def q_binomial(n, i):
+    """Gaussian binomial coefficient as a polynomial in q.
 
     Computed by the q-Pascal recursion, so no division is involved; the
     classical binomial appears on substituting 1.
@@ -485,30 +494,20 @@ def q_binomial(n, i, params=("q",), slot=0):
     n, i = int(n), int(i)
     if i < 0 or i > n:
         raise ValueError("binomial index out of range")
-    params = tuple(params)
-    width = len(params)
-    one = LaurentPoly.one(params)
-    q_exps = tuple(1 if j == slot else 0 for j in range(width))
+    one = LaurentPoly.one(("q",))
     row = [one]
     for level in range(1, n + 1):
         new = [one]
         for k in range(1, level):
-            shift = LaurentPoly.monomial(params, tuple(e * k for e in q_exps))
-            new.append(row[k - 1] + shift * row[k])
+            new.append(row[k - 1] + LaurentPoly.monomial(("q",), (k,)) * row[k])
         new.append(one)
         row = new
     return row[i]
 
 
-def q_integer(n, params=("q",), slot=0):
-    """1 + q + ... + q^(n-1) in the designated parameter slot."""
-    params = tuple(params)
-    width = len(params)
-    q_exps = tuple(1 if j == slot else 0 for j in range(width))
-    terms = {}
-    for k in range(int(n)):
-        terms[tuple(e * k for e in q_exps)] = Fraction(1)
-    return LaurentPoly(params, terms)
+def q_integer(n):
+    """1 + q + ... + q^(n-1) as a polynomial in q."""
+    return LaurentPoly(("q",), {(k,): 1 for k in range(int(n))})
 
 
 def q_binomial_at_unit(n, i, unit):
@@ -520,7 +519,7 @@ def q_binomial_at_unit(n, i, unit):
     return total
 
 
-def q_leibniz_expand(pres, i, npow, element, budget=None):
+def q_leibniz_expand(pres, i, npow, element):
     """Expand x_i^npow * a through the twisted Leibniz rule.
 
     Returns sum_j C(npow, j)_{q_i} tau^(npow-j) delta^j (a) x_i^(npow-j),
@@ -541,8 +540,8 @@ def q_leibniz_expand(pres, i, npow, element, budget=None):
             break
         coef = q_binomial_at_unit(npow, j, q_i)
         part = tau_apply(pres, i, delta_j, npow - j)
-        part = nf_mul(part, pres.gen_power(i, npow - j), budget)
+        part = nf_mul(part, pres.gen_power(i, npow - j))
         total = total + part.scale(coef)
         if j < npow:
-            delta_j = delta_apply(pres, i, delta_j, budget)
+            delta_j = delta_apply(pres, i, delta_j)
     return total

@@ -46,7 +46,8 @@ class Presentation(Frozen):
     """Generators, commutation scalars, tails and weight data.
 
     Immutable; mutating helpers return fresh instances.  Two memo dicts
-    are filled in place: ``_tailcache`` holds the engine-form tails, and
+    are filled in place by the product engine: ``_tailcache`` holds the
+    tails in the form its fills read (see normalform._tail_terms), and
     ``_rtable`` the right products M * g_a that nf_mul calls share (see
     normalform._RightTable).  Copies and pickles start them empty.
     ``_tailed_after[a]`` lists the later polynomial letters c whose
@@ -169,21 +170,6 @@ class Presentation(Frozen):
     def commutation_unit(self, a, b):
         """Scalar u with g_a g_b = u * g_b g_a (any order of a, b)."""
         return self._cu[a][b]
-
-    def tail_terms(self, i, j):
-        """Tail of the (i, j) relation in engine form: a tuple of
-        (coefficient, ascending generator word, invertible exponents)."""
-        cached = self._tailcache.get((i, j))
-        if cached is None:
-            items = []
-            for key, coef in self.tails.get((i, j), {}).items():
-                word = []
-                for pos in range(self.n):
-                    word.extend([pos] * key[pos])
-                items.append((coef, tuple(word), key[self.n:]))
-            cached = tuple(items)
-            self._tailcache[(i, j)] = cached
-        return cached
 
     def hweight(self, i, g):
         return self.hweights[i][g]

@@ -58,6 +58,10 @@ def _normalize(pres, items, budget):
     stack = list(items)
     steps = 0
     zero_k = (0,) * pres.m
+    tails = {
+        pair: [(coef, _key_to_xword(pres, key), key[pres.n:]) for key, coef in body.items()]
+        for pair, body in pres.tails.items()
+    }
     while stack:
         coef, word, kvec = stack.pop()
         spot = None
@@ -87,7 +91,7 @@ def _normalize(pres, items, budget):
         swapped = word[:spot] + (a, b) + word[spot + 2:]
         base = coef * u_inv
         stack.append((base, swapped, kvec))
-        tail = pres.tail_terms(a, b)
+        tail = tails.get((a, b))
         if tail:
             rest = word[spot + 2:]
             for t_coef, t_xword, t_kvec in tail:

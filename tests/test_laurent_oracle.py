@@ -2,7 +2,8 @@
 the Fraction-only schoolbook arithmetic in reference_laurent.py.
 
 Ring laws run over one to three parameters, with negative exponents,
-fractional coefficients and sums built to cancel.  Every result that an
+fractional coefficients and sums built to cancel, and the field laws of
+FracElem over one or two.  Every result that an
 internal ``_make`` built must be what the validating constructor makes
 of it, for LaurentPoly and for NFElement.
 """
@@ -145,6 +146,32 @@ def test_content_and_fraction_elements_stay_clean(a):
         x = FracElem(a, prim + 1) if prim + 1 else FracElem(a)
         assert_clean(x.num)
         assert_clean(x.den)
+
+
+@st.composite
+def frac_triples(draw):
+    """Three fractions over one or two parameters; a zero denominator
+    drawn is replaced by one."""
+    width = draw(st.integers(1, 2))
+    out = []
+    for _ in range(3):
+        num, den = draw(polys(width, max_terms=3)), draw(polys(width, max_terms=3))
+        out.append(FracElem(num, den) if den else FracElem(num))
+    return out
+
+
+@SETTINGS
+@given(frac_triples())
+def test_frac_field_laws(abc):
+    a, b, c = abc
+    one = FracElem(LaurentPoly.one(a.params))
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    if a:
+        assert a * a.inverse() == one
+        assert (b / a) * a == b
 
 
 # -- NFElement._make --------------------------------------------------------

@@ -153,19 +153,41 @@ def test_matrices3_triples_match_word_rewriter():
                                 reference_mul(a, reference_mul(b, c)))
 
 
+def fill_count(monkeypatch, left, right):
+    """nf_mul(left, right) on an empty table, the number of table fills it
+    makes, and the error it raises when DEFAULT_BUDGET is one fill short
+    (None when it makes no fill)."""
+    table = left.pres._rtable
+    fills = []
+    start = _RightTable._start_fill
+    with monkeypatch.context() as m:
+        m.setattr(_RightTable, "_start_fill",
+                  lambda t, request: fills.append(request) or start(t, request))
+        table.clear()
+        product = nf_mul(left, right)
+    short = None
+    if fills:
+        with monkeypatch.context() as m:
+            m.setattr(normalform, "DEFAULT_BUDGET", len(fills) - 1)
+            table.clear()
+            with pytest.raises(RewriteBudgetError) as err:
+                nf_mul(left, right)
+        short = str(err.value)
+    return product, len(fills), short
+
+
 @pytest.mark.parametrize("k, terms, fills", [(7, 8, 49), (8, 9, 64)])
-def test_weyl_power_fill_counts(k, terms, fills):
+def test_weyl_power_fill_counts(monkeypatch, k, terms, fills):
     # x^k * y^k has k+1 terms; the word rewriter needed over 10^6 steps
     # at k = 8, the table needs one fill per entry it stores
     w = quantum_weyl(1)
     y, x = w.gen(0), w.gen(1)
-    product = nf_mul(w.gen_power(1, k), w.gen_power(0, k), budget=fills)
+    product, count, short = fill_count(monkeypatch, w.gen_power(1, k), w.gen_power(0, k))
+    assert count == fills
     assert len(product.terms) == terms
     assert product == nf_mul(x, nf_mul(w.gen_power(1, k - 1), w.gen_power(0, k)))
-    with pytest.raises(RewriteBudgetError) as err:
-        nf_mul(w.gen_power(1, k), w.gen_power(0, k), budget=fills - 1)
-    message = str(err.value)
-    assert "x*y" in message and str(fills - 1) in message
+    assert short == (f"rewriting exceeded {fills - 1} table fills at x*y; "
+                     "check tail well-formedness")
 
 
 # g^k * h^k and the table fills it needs: only a move across a relation
@@ -181,31 +203,12 @@ POWER_FILLS = [
 
 @pytest.mark.parametrize("p, left, right, k, fills", POWER_FILLS,
                          ids=lambda v: getattr(v, "name", str(v)))
-def test_power_fill_counts(p, left, right, k, fills):
+def test_power_fill_counts(monkeypatch, p, left, right, k, fills):
     gk, hk = p.gen_power(p.position(left), k), p.gen_power(p.position(right), k)
-    product = nf_mul(gk, hk, budget=fills)
-    assert_same_normal_form(product, nf_mul(gk, hk))
-    if fills:
-        with pytest.raises(RewriteBudgetError):
-            nf_mul(gk, hk, budget=fills - 1)
-
-
-def _least_budget(left, right):
-    """The fewest table fills that nf_mul(left, right) succeeds with."""
-    def fits(budget):
-        try:
-            nf_mul(left, right, budget=budget)
-        except RewriteBudgetError:
-            return False
-        return True
-
-    low, high = -1, 1
-    while not fits(high):
-        low, high = high, 2 * high
-    while high - low > 1:
-        mid = (low + high) // 2
-        low, high = (low, mid) if fits(mid) else (mid, high)
-    return high
+    product, count, _ = fill_count(monkeypatch, gk, hk)
+    assert count == fills
+    # read back from the filled table, the product is the same
+    assert_same_normal_form(nf_mul(gk, hk), product)
 
 
 def power_ladders():
@@ -218,28 +221,11 @@ def power_ladders():
                 yield p.gen_power(j, k), p.gen_power(i, k)
 
 
-def test_power_ladder_fill_count():
+def test_power_ladder_fill_count(monkeypatch):
     # 3,161 fills when every out-of-order letter moved through the table
     total = 0
     for left, right in power_ladders():
-        total += _least_budget(left, right)
-    assert total == 751
-
-
-def test_budgeted_calls_ignore_the_shared_table():
-    # a call with a budget fills a table of its own, so what it needs does
-    # not depend on the entries earlier calls left on the presentation
-    w = quantum_weyl(1)
-    x8, y8 = w.gen_power(1, 8), w.gen_power(0, 8)
-    product = nf_mul(x8, y8)
-    assert len(w._rtable) == 64
-    with pytest.raises(RewriteBudgetError):
-        nf_mul(x8, y8, budget=63)
-    assert nf_mul(x8, y8, budget=64) == product
-    total = 0
-    for left, right in power_ladders():
-        nf_mul(left, right)
-        total += _least_budget(left, right)
+        total += fill_count(monkeypatch, left, right)[1]
     assert total == 751
 
 
@@ -260,18 +246,13 @@ def _round_fills(monkeypatch, workload):
     return len(fills)
 
 
-def test_products_round_fill_count(monkeypatch):
-    # one round of the products benchmark made 11,344 fills when every
-    # out-of-order letter moved through the table
-    assert _round_fills(monkeypatch, "products") <= 3558
-
-
 @pytest.mark.parametrize("workload, fills", [("products", 327), ("powers", 419),
                                              ("spectra", 54)])
 def test_round_fills_each_entry_once(monkeypatch, workload, fills):
     # nf_mul calls share their presentation's table, so a round fills each
     # (presentation, entry) pair once; 3,558, 751 and 1,052 fills when
-    # every call filled a table of its own
+    # every call filled a table of its own (products: 11,344 when every
+    # out-of-order letter moved through the table)
     assert _round_fills(monkeypatch, workload) <= fills
 
 
@@ -294,6 +275,20 @@ def test_deep_monomial_does_not_recurse():
     p = quantum_plane()
     qpow = LaurentPoly.var(p.params, "q", -1500)
     assert nf_mul(p.gen_power(1, 1500), p.gen(0)) == p.monomial((1, 1500), qpow)
+
+
+def test_deep_fill_chain_does_not_recurse(monkeypatch):
+    # the entry x^k * y needs x^(k-1) * y first: k fills nested past the
+    # interpreter's recursion limit, which the explicit stack avoids.
+    # From x*y = c*y*x - c, x^k * y = c^k * y*x^k - (c + ... + c^k) * x^(k-1).
+    w = quantum_weyl(1)
+    k = 1100
+    assert k > sys.getrecursionlimit()
+    product, count, _ = fill_count(monkeypatch, w.gen_power(1, k), w.gen(0))
+    assert count == k
+    geometric = LaurentPoly(w.params, {(e,): 1 for e in range(1, k + 1)})
+    c = LaurentPoly.var(w.params, "c")
+    assert product == w.monomial((1, k), c ** k) - w.monomial((0, k - 1), geometric)
 
 
 def looping_presentation():

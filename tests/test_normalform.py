@@ -22,6 +22,7 @@ from qsolv import (
     skew_action,
     tau_apply,
 )
+from qsolv import normalform
 from qsolv.normalform import q_binomial_at_unit
 
 
@@ -177,10 +178,12 @@ def test_leibniz_rejects_early_letters(weyl):
         q_leibniz_expand(weyl, 0, 2, y)
 
 
-def test_budget_exhaustion(weyl):
+def test_budget_exhaustion(weyl, monkeypatch):
     big = weyl.monomial((4, 4))
-    with pytest.raises(RewriteBudgetError):
-        nf_mul(big, big, budget=3)
+    monkeypatch.setattr(normalform, "DEFAULT_BUDGET", 3)
+    weyl._rtable.clear()
+    with pytest.raises(RewriteBudgetError, match="exceeded 3 table fills"):
+        nf_mul(big, big)
 
 
 def test_scalar_coefficient_types(plane):
