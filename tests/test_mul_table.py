@@ -153,16 +153,22 @@ def test_matrices3_triples_match_word_rewriter():
                                 reference_mul(a, reference_mul(b, c)))
 
 
+def record_fills(monkeypatch):
+    """A list that gets one entry per table fill from now on."""
+    fills = []
+    start = _RightTable._start_fill
+    monkeypatch.setattr(_RightTable, "_start_fill",
+                        lambda table, request: fills.append(request) or start(table, request))
+    return fills
+
+
 def fill_count(monkeypatch, left, right):
     """nf_mul(left, right) on an empty table, the number of table fills it
     makes, and the error it raises when DEFAULT_BUDGET is one fill short
     (None when it makes no fill)."""
     table = left.pres._rtable
-    fills = []
-    start = _RightTable._start_fill
     with monkeypatch.context() as m:
-        m.setattr(_RightTable, "_start_fill",
-                  lambda t, request: fills.append(request) or start(t, request))
+        fills = record_fills(m)
         table.clear()
         product = nf_mul(left, right)
     short = None
@@ -236,10 +242,7 @@ def _round_fills(monkeypatch, workload):
         import workloads
     finally:
         sys.path.remove(str(ROOT / "perfbench"))
-    fills = []
-    start = _RightTable._start_fill
-    monkeypatch.setattr(_RightTable, "_start_fill",
-                        lambda table, request: fills.append(1) or start(table, request))
+    fills = record_fills(monkeypatch)
     context = workloads.Context("full", None, None, True)
     for op in workloads.build(workload, qsolv, random.Random(3), context):
         op.run()
