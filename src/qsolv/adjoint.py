@@ -190,39 +190,26 @@ def _conjugation_weight(p, xidx, key):
 
 
 def _root_candidates(p, xidx, coord_maps):
-    """The units 1, w, w^-1 and u*v^-1 over the conjugation weights, and
-    every commutation scalar and q_i with its inverse, smallest first.
-
-    Units are handled as (sign, exps) keys, so each weight is inverted
-    once and a repeated candidate builds nothing."""
-    weights = set()
-    for terms in coord_maps:
-        for key in terms:
-            u = _conjugation_weight(p, xidx, key)
-            weights.add((u.sign, u.exps))
-    inverses = [(s, tuple(-e for e in exps)) for s, exps in weights]
-    pool = {(1, (0,) * len(p.params))}
-    pool.update(weights, inverses)
-    pool.update(
-        (su * sv, tuple(a + b for a, b in zip(eu, ev)))
-        for su, eu in weights for sv, ev in inverses
-    )
-    scalars = {(u.sign, u.exps) for u in (*p.qmat.values(), *p.qskew)}
-    pool.update(scalars)
-    pool.update((s, tuple(-e for e in exps)) for s, exps in scalars)
-    ordered = sorted(
-        pool, key=lambda k: (sum(map(abs, k[1])), k[1], -k[0])
-    )
-    return [UnitMonomial(p.params, s, exps) for s, exps in ordered]
+    """The distinct conjugation weights of the lifted numerator monomials,
+    smallest first."""
+    weights = {_conjugation_weight(p, xidx, key)
+               for terms in coord_maps for key in terms}
+    return sorted(weights, key=lambda u: (sum(map(abs, u.exps)), u.exps, -u.sign))
 
 
 def ad_minimal_polynomial(p, xidx, a, degree_cap=16):
     """Minimal polynomial of the conjugation action on an element.
 
     Iterates the action, detects the first linear dependence by exact
-    elimination over the fraction field, then factors the monic result
-    by trial division against unit-monomial candidates harvested from
-    the iteration.  Every root must be found this way.
+    elimination over the fraction field, then peels the roots of the
+    monic result off the conjugation weights of the last lift.
+
+    Under WF no tail uses a letter at or before its pair's first
+    generator, so every rewrite lowers a monomial lexicographically, and
+    x * Y^key * x^(-1) is the weight of key times Y^key plus lower terms.
+    The action is thus triangular on the lifted numerator monomials with
+    their weights on the diagonal; an eigenvector's leading monomial is
+    among them, so every root is one of those weights.
     """
     _check_site(p, xidx)
     a = loc_element(p, xidx, a)
@@ -282,7 +269,7 @@ def ad_minimal_polynomial(p, xidx, a, degree_cap=16):
     lead = combo_found[degree]
     coeffs = [combo_found.get(t, zero) / lead for t in range(degree + 1)]
 
-    candidates = _root_candidates(p, xidx, _coordinates(vectors))
+    candidates = _root_candidates(p, xidx, coords)
     found, rest = densepoly.peel_roots(coeffs, candidates, UnitMonomial.as_poly)
     if len(rest) > 1:
         raise AdRootError(

@@ -487,12 +487,22 @@ def _load(path):
             return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}", 0, 0)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not UTF-8 text "
+                         f"({exc.reason} at byte {exc.start})", 0, 0)
 
 
 def _report_write(path, pairs):
-    with open(path, "w", encoding="utf-8") as fh:
-        for key, value in sorted(pairs):
-            fh.write(f"{key}: {value}\n")
+    """Write the --out report; False, with the reason on stderr, when the
+    path cannot be written."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            for key, value in sorted(pairs):
+                fh.write(f"{key}: {value}\n")
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror}", file=sys.stderr)
+        return False
+    return True
 
 
 def _cmd_validate(args, out, report):
@@ -792,8 +802,8 @@ def run_command(argv):
     for line in out:
         print(line)
     report.append(("status", str(status)))
-    if args.out:
-        _report_write(args.out, report)
+    if args.out and not _report_write(args.out, report):
+        return 2
     return status
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from qsolv import adjoint
+from qsolv import adjoint, densepoly
 from qsolv import (
     AdRootError,
     FracElem,
@@ -199,6 +199,41 @@ def test_root_outside_candidates_reports_the_search(weyl, monkeypatch):
     with pytest.raises(AdRootError, match="a factor of degree 1 is left") as info:
         ad_minimal_polynomial(weyl, 0, weyl.gen(1))
     assert f"({len(tried)} candidates tried," in str(info.value)
+
+
+@pytest.fixture
+def root_search(monkeypatch):
+    """Counts of the root search: the candidates each peel_roots call
+    tries, and every LocElement.lifted call."""
+    counts = {"candidates": [], "lifts": 0}
+    peel, lifted = densepoly.peel_roots, LocElement.lifted
+
+    def counted_peel(coeffs, candidates, embed):
+        counts["candidates"].append(len(candidates))
+        return peel(coeffs, candidates, embed)
+
+    def counted_lifted(self, dpow):
+        counts["lifts"] += 1
+        return lifted(self, dpow)
+
+    monkeypatch.setattr(densepoly, "peel_roots", counted_peel)
+    monkeypatch.setattr(LocElement, "lifted", counted_lifted)
+    return counts
+
+
+@pytest.mark.parametrize("k, lifts", [(1, 6), (2, 10), (3, 15), (4, 21), (5, 28)])
+def test_weyl_roots_are_peeled_from_the_weights(weyl, root_search, k, lifts):
+    # the roots 1, c^-1, ..., c^-k are all the weights the lifts hold
+    spec = ad_minimal_polynomial(weyl, 0, weyl.gen_power(1, k))
+    assert spec.degree == k + 1
+    assert root_search == {"candidates": [k + 1], "lifts": lifts}
+
+
+def test_matrices_roots_are_peeled_from_the_weights(root_search):
+    p = quantum_matrices(3)
+    spec = ad_eigencomponents(p, 0, p.gen(8))
+    assert len(spec.roots) == 2
+    assert root_search == {"candidates": [2], "lifts": 10}
 
 
 def test_zero_element_rejected(weyl):

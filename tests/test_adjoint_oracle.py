@@ -1,0 +1,148 @@
+"""The adjoint's root search against the wide candidate pool it replaced.
+
+reference_adjoint.py keeps the old pool of 1, the conjugation weights,
+their inverses and quotients, and every commutation scalar with its
+inverse.  Trying only the weights of the last lift must give the same
+minimal polynomial, roots, multiplicities and components, and every root
+must be a weight of the lifted Krylov vectors.  The elements are seeded
+over the built-in families, a Jordan block and a plane with invertible
+letters, and drawn by hypothesis over small presentations whose one or
+two tails use no letter at or before their pair's first generator.
+"""
+
+import random
+
+import pytest
+
+from qsolv import (
+    LaurentPoly,
+    Presentation,
+    QsolvError,
+    RepeatedRootError,
+    UnitMonomial,
+    ad_apply,
+    ad_eigencomponents,
+    ad_minimal_polynomial,
+    adjoint,
+    loc_element,
+    quantum_matrices,
+    quantum_weyl,
+)
+from reference_adjoint import reference_root_candidates
+from test_mul_table import plane_torus
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+DEGREE_CAP = 6
+
+
+def jordan():
+    one = LaurentPoly.one(("q",))
+    return Presentation("jordan", ("q",), ("x", "y"), 2, tails={(0, 1): {(0, 0): one}})
+
+
+def spectrum(p, xidx, a):
+    """The eigencomponent spectrum, the bare minimal polynomial data when
+    a root repeats, or the error type."""
+    try:
+        spec = ad_eigencomponents(p, xidx, a, DEGREE_CAP)
+    except RepeatedRootError:
+        spec = ad_minimal_polynomial(p, xidx, a, DEGREE_CAP)
+    except QsolvError as exc:
+        return type(exc)
+    return spec.minpoly, spec.roots, spec.multiplicities, spec.components
+
+
+def lift_weights(p, xidx, a, degree):
+    """Conjugation weights of a, Ad(a), ..., Ad^degree(a) lifted to one
+    common denominator."""
+    vectors = [loc_element(p, xidx, a)]
+    for _ in range(degree):
+        vectors.append(ad_apply(p, xidx, vectors[-1]))
+    d = max(v.dpow for v in vectors)
+    return {adjoint._conjugation_weight(p, xidx, key)
+            for v in vectors for key in v.lifted(d).terms}
+
+
+def assert_matches_reference(p, xidx, a, monkeypatch):
+    got = spectrum(p, xidx, a)
+    with monkeypatch.context() as m:
+        m.setattr(adjoint, "_root_candidates", reference_root_candidates)
+        want = spectrum(p, xidx, a)
+    assert got == want, (p.name, xidx, str(a))
+    if isinstance(got, tuple):
+        minpoly, roots = got[:2]
+        assert set(roots) <= lift_weights(p, xidx, a, len(minpoly) - 1)
+
+
+def random_element(p, rng):
+    """One or two terms of degree at most two, each invertible letter
+    possibly inverted, with small integer coefficients.  Degree three
+    already costs tens of seconds on quantum_matrices(3) in the Krylov
+    elimination, which is not what these tests check."""
+    width = p.n + p.m
+    out = p.zero()
+    for _ in range(rng.randint(1, 2)):
+        key = [0] * width
+        for _ in range(rng.randint(0, 2)):
+            key[rng.randrange(width)] += 1
+        for pos in range(p.n, width):
+            key[pos] -= rng.randint(0, 1)
+        out = out + p.monomial(tuple(key), rng.choice([-2, -1, 1, 2, 3]))
+    return out
+
+
+@pytest.mark.parametrize("build", [
+    lambda: quantum_weyl(1), lambda: quantum_weyl(2),
+    lambda: quantum_matrices(2), lambda: quantum_matrices(3),
+    jordan, plane_torus,
+], ids=["weyl1", "weyl2", "matrices2", "matrices3", "jordan", "plane_torus"])
+def test_weight_roots_match_the_reference_pool(build, monkeypatch):
+    p = build()
+    rng = random.Random(p.name)
+    for _ in range(24):
+        assert_matches_reference(p, rng.randrange(p.n), random_element(p, rng),
+                                 monkeypatch)
+
+
+def units(params):
+    return st.builds(
+        lambda sign, exps: UnitMonomial(params, sign, tuple(exps)),
+        st.sampled_from([1, -1]),
+        st.lists(st.integers(-2, 2), min_size=len(params), max_size=len(params)),
+    )
+
+
+@st.composite
+def placed_presentations(draw):
+    """Two or three polynomial letters and at most one invertible one,
+    random commutation scalars in q and p, and one or two tails whose
+    monomials use only letters after their pair's first generator."""
+    params = ("q", "p")
+    n = draw(st.integers(2, 3))
+    total = n + draw(st.integers(0, 1))
+    pairs = [(a, b) for a in range(total) for b in range(a + 1, total)]
+    qmat = {pair: draw(units(params)) for pair in pairs}
+    tails = {}
+    tail_pairs = [(i, j) for i, j in pairs if j < n]
+    for i, j in draw(st.lists(st.sampled_from(tail_pairs), min_size=1, max_size=2,
+                              unique=True)):
+        body = {}
+        for _ in range(draw(st.integers(1, 2))):
+            key = [0] * total
+            for g in range(i + 1, total):
+                key[g] = draw(st.integers(-1 if g >= n else 0, 1))
+            body[tuple(key)] = draw(st.sampled_from([-1, 1, 2]))
+        tails[(i, j)] = body
+    gens = ("x", "y", "z", "k")[:n] + ("k",) * (total - n)
+    return Presentation("placed", params, gens, n, qmat=qmat, tails=tails)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(p=placed_presentations(), seed=st.integers(0, 2**16))
+def test_weight_roots_match_the_reference_pool_on_drawn_presentations(p, seed):
+    rng = random.Random(seed)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_matches_reference(p, rng.randrange(p.n), random_element(p, rng),
+                                 monkeypatch)

@@ -203,6 +203,16 @@ def test_missing_file_exit_code(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_non_utf8_file_is_a_read_error(tmp_path, capsys):
+    path = tmp_path / "latin.alg"
+    path.write_bytes(b"algebra A\xff\n")
+    assert run_command(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: cannot read {path}: not UTF-8 text "
+                            "(invalid start byte at byte 9)\n")
+
+
 def test_weights_command(tmp_path, capsys):
     path = write_presentation(tmp_path, quantum_weyl(1), "weyl")
     assert run_command(["weights", path, "x + y*x"]) == 0
@@ -485,6 +495,19 @@ def test_compositions_at_the_bound(capsys):
     assert out[-2] == "(" + ", ".join(["0"] * 17) + ")"
     assert out[-1] == "count: 65536"
     assert len(out) == 2 ** 16 + 1
+
+
+@pytest.mark.parametrize("target, reason", [
+    ("absent/report.txt", "No such file or directory"),
+    (".", "Is a directory"),
+], ids=["missing-dir", "directory"])
+def test_unwritable_report_is_an_input_error(tmp_path, plane_file, capsys,
+                                             target, reason):
+    path = tmp_path / target
+    assert run_command(["validate", plane_file, "--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0] == "WF OK"
+    assert captured.err == f"error: cannot write {path}: {reason}\n"
 
 
 def test_report_file(tmp_path, plane_file, capsys):
