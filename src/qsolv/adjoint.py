@@ -1,11 +1,12 @@
 """Conjugation by a generator in the localized algebra.
 
 Localizing at a polynomial generator x turns conjugation a -> x a x^(-1)
-into a computable action on elements num * x^(-d).  Iterating it on a
-generator produces a finite cycle whose minimal polynomial factors over
-the unit group; the eigencomponent formulas then split the generator
-into q-commuting pieces, with denominators built from differences of
-the eigenvalues.
+into a computable action on elements num * x^(-d).  Under WF tail
+placement the action is triangular on numerator monomials with unit
+monomial weights on the diagonal, so the minimal polynomial on an element
+is peeled off those weights one linear factor at a time; the
+eigencomponent formulas then split the generator into q-commuting
+pieces, with denominators built from differences of the eigenvalues.
 """
 
 from __future__ import annotations
@@ -174,12 +175,6 @@ class AdSpectrum(Frozen):
         return f"AdSpectrum(degree {self.degree}, roots [{roots}])"
 
 
-def _coordinates(vectors):
-    """Numerator term maps of the vectors over one common denominator."""
-    d = max(v.dpow for v in vectors)
-    return [v.lifted(d).terms for v in vectors]
-
-
 def _conjugation_weight(p, xidx, key):
     """The scalar s with x * Y^key = s * Y^key * x, tails aside."""
     return unit_product(
@@ -189,97 +184,65 @@ def _conjugation_weight(p, xidx, key):
     )
 
 
-def _root_candidates(p, xidx, coord_maps):
-    """The distinct conjugation weights of the lifted numerator monomials,
-    smallest first."""
-    weights = {_conjugation_weight(p, xidx, key)
-               for terms in coord_maps for key in terms}
-    return sorted(weights, key=lambda u: (sum(map(abs, u.exps)), u.exps, -u.sign))
-
-
 def ad_minimal_polynomial(p, xidx, a, degree_cap=16):
     """Minimal polynomial of the conjugation action on an element.
 
-    Iterates the action, detects the first linear dependence by exact
-    elimination over the fraction field, then peels the roots of the
-    monic result off the conjugation weights of the last lift.
+    Peels one linear factor per step: with b the current vector and w
+    the conjugation weight of the leading monomial of b * x, the next
+    vector is Ad(b) - w * b, that is x * b - w * b * x over one more
+    power of x.  The weights taken are the roots, and the count of each
+    is its multiplicity.
 
-    Under WF no tail uses a letter at or before its pair's first
-    generator, so every rewrite lowers a monomial lexicographically, and
-    x * Y^key * x^(-1) is the weight of key times Y^key plus lower terms.
-    The action is thus triangular on the lifted numerator monomials with
-    their weights on the diagonal; an eigenvector's leading monomial is
-    among them, so every root is one of those weights.
+    The result is exact.  Under WF no tail uses a letter at or before its
+    pair's first generator, so every rewrite lowers a monomial
+    lexicographically, and x * Y^key * x^(-1) is the weight of key times
+    Y^key plus lower terms.  The action is thus triangular on numerator
+    monomials with the weights on the diagonal, and each step lowers the
+    leading monomial.  The peeled vectors have strictly falling leading
+    monomials, so they are independent, and the product of their factors
+    has the minimal degree.  Tails that break WF placement can stop the
+    fall, which raises AdRootError.
     """
     _check_site(p, xidx)
     a = loc_element(p, xidx, a)
     if a.is_zero():
         raise AdRootError("the zero element has no minimal polynomial")
-    params = p.params
-    zero, one = as_field_element(0, params), as_field_element(1, params)
-
-    # Each new vector can deepen the common denominator and relabel every
-    # coordinate, so the elimination is redone per step on fresh lifts.
-    # The algebra is a domain, hence lifting preserves independence and a
-    # dependence always involves the newest vector.
-    vectors = [a]
-    combo_found = None
-    for step in range(degree_cap + 1):
-        coords = _coordinates(vectors)
-        reduced = []  # (pivot key, row dict, combination dict)
-        for t, cmap in enumerate(coords):
-            row = {k: as_field_element(c, params) for k, c in cmap.items()}
-            combo = {t: one}
-            for pivot, base, base_combo in reduced:
-                if pivot not in row:
-                    continue
-                factor = row[pivot] / base[pivot]
-                for k, c in base.items():
-                    val = row.get(k, zero) - factor * c
-                    if val.is_zero():
-                        row.pop(k, None)
-                    else:
-                        row[k] = val
-                for s, c in base_combo.items():
-                    val = combo.get(s, zero) - factor * c
-                    if val.is_zero():
-                        combo.pop(s, None)
-                    else:
-                        combo[s] = val
-            if not row:
-                combo_found = combo
-                break
-            reduced.append((min(row), row, combo))
-        if combo_found is not None or step == degree_cap:
+    x = p.gen(xidx)
+    num = a.num
+    counts = {}
+    for _ in range(degree_cap):
+        if num.is_zero():
             break
-        vectors.append(ad_apply(p, xidx, vectors[-1]))
-    if combo_found is None:
+        lifted = nf_mul(num, x)
+        if lifted.is_zero():
+            # only possible outside a domain, where a power of x kills the element
+            raise AdRootError(
+                "the element lifts to zero in the localization; "
+                "it has no minimal polynomial"
+            )
+        lead = max(lifted.terms)
+        weight = _conjugation_weight(p, xidx, lead)
+        counts[weight] = counts.get(weight, 0) + 1
+        num = nf_mul(x, num) - lifted.scale(weight)
+        if num and max(num.terms) >= lead:
+            raise AdRootError(
+                "conjugation does not lower the leading monomial; "
+                "a tail breaks WF placement"
+            )
+    if not num.is_zero():
         raise AdRootError(
             f"no dependence within {degree_cap} conjugation steps; "
             "raise the degree cap or check the element"
         )
 
-    degree = max(combo_found)
-    if degree == 0:
-        # only possible outside a domain, where a power of x kills the element
-        raise AdRootError(
-            "the element lifts to zero in the localization; "
-            "it has no minimal polynomial"
-        )
-    lead = combo_found[degree]
-    coeffs = [combo_found.get(t, zero) / lead for t in range(degree + 1)]
-
-    candidates = _root_candidates(p, xidx, coords)
-    found, rest = densepoly.peel_roots(coeffs, candidates, UnitMonomial.as_poly)
-    if len(rest) > 1:
-        raise AdRootError(
-            "minimal polynomial has a root outside the unit-monomial "
-            "candidates; the q-skew hypotheses look violated "
-            f"({len(candidates)} candidates tried, a factor of degree "
-            f"{len(rest) - 1} is left)"
-        )
-    return AdSpectrum(p, xidx, a, coeffs, [root for root, _ in found],
-                      [mult for _, mult in found])
+    roots = sorted(counts, key=lambda u: (sum(map(abs, u.exps)), u.exps, -u.sign))
+    one = as_field_element(1, p.params)
+    minpoly = [one]
+    for root in roots:
+        factor = [as_field_element(-root, p.params), one]
+        for _ in range(counts[root]):
+            minpoly = densepoly.mul(minpoly, factor)
+    return AdSpectrum(p, xidx, a, minpoly, roots, [counts[r] for r in roots])
 
 
 def ad_eigencomponents(p, xidx, a, degree_cap=16):
@@ -344,8 +307,10 @@ def difference_set(roots):
 def factor_over_differences(value, roots):
     """Factor a denominator as unit * product of root differences.
 
-    Returns (unit monomial, list of (difference, exponent)); raises when
-    some factor is not built from the difference set.
+    Returns (unit, list of (difference, exponent)), the unit a nonzero
+    rational times a monomial; raises when some factor is not built from
+    the difference set.  A single-term difference, such as q - (-q), is
+    itself a unit and stays in the unit.
     """
     if isinstance(value, FracElem):
         if not value.den.is_one():
@@ -353,6 +318,8 @@ def factor_over_differences(value, roots):
         value = value.num
     factors = []
     for d in difference_set(roots):
+        if len(d.terms) == 1:
+            continue
         count = 0
         while True:
             quo = value.try_div(d)
@@ -362,10 +329,9 @@ def factor_over_differences(value, roots):
             count += 1
         if count:
             factors.append((d, count))
-    unit = value.as_unit_monomial()
-    if unit is None:
+    if len(value.terms) != 1:
         raise AdRootError(
             f"residual factor {value} is not a unit; denominator escapes "
             "the difference set"
         )
-    return unit, factors
+    return value, factors

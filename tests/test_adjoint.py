@@ -2,7 +2,7 @@
 
 import pytest
 
-from qsolv import adjoint, densepoly
+from qsolv import adjoint
 from qsolv import (
     AdRootError,
     FracElem,
@@ -185,55 +185,58 @@ def test_degree_cap(weyl):
         ad_minimal_polynomial(weyl, 0, weyl.gen(1), degree_cap=1)
 
 
-def test_root_outside_candidates_reports_the_search(weyl, monkeypatch):
-    # withhold the eigenvalue c^-1 of conjugation by y on x
-    withheld = UnitMonomial.var(weyl.params, "c", -1)
-    harvest = adjoint._root_candidates
-    tried = []
+def test_tail_that_breaks_placement_is_named():
+    # y*x = q*x*y + x*y: the tail keeps the leading monomial x*y, so
+    # conjugation by y does not lower it and no weight peels off
+    qu = UnitMonomial.var(("q",), "q")
+    one = LaurentPoly.one(("q",))
+    p = Presentation("t", ("q",), ("x", "y"), 2, qmat={(0, 1): qu},
+                     tails={(0, 1): {(1, 1): one}})
+    with pytest.raises(AdRootError, match="a tail breaks WF placement"):
+        ad_minimal_polynomial(p, 1, p.gen(0))
 
-    def candidates(*args):
-        tried[:] = [u for u in harvest(*args) if u != withheld]
-        return tried
 
-    monkeypatch.setattr(adjoint, "_root_candidates", candidates)
-    with pytest.raises(AdRootError, match="a factor of degree 1 is left") as info:
-        ad_minimal_polynomial(weyl, 0, weyl.gen(1))
-    assert f"({len(tried)} candidates tried," in str(info.value)
+def test_factor_over_differences_keeps_single_term_differences_in_the_unit():
+    # q - (-q) = 2q divides every value, so dividing it out never ends
+    qu = UnitMonomial.var(("q",), "q")
+    three = LaurentPoly.const(("q",), 3)
+    assert factor_over_differences(three, [qu, -qu]) == (3, [])
 
 
 @pytest.fixture
-def root_search(monkeypatch):
-    """Counts of the root search: the candidates each peel_roots call
-    tries, and every LocElement.lifted call."""
-    counts = {"candidates": [], "lifts": 0}
-    peel, lifted = densepoly.peel_roots, LocElement.lifted
+def products(monkeypatch):
+    """Counts of the nf_mul calls made from the adjoint module and of
+    every LocElement.lifted call."""
+    counts = {"nf_mul": 0, "lifts": 0}
+    mul, lifted = adjoint.nf_mul, LocElement.lifted
 
-    def counted_peel(coeffs, candidates, embed):
-        counts["candidates"].append(len(candidates))
-        return peel(coeffs, candidates, embed)
+    def counted_mul(left, right):
+        counts["nf_mul"] += 1
+        return mul(left, right)
 
     def counted_lifted(self, dpow):
         counts["lifts"] += 1
         return lifted(self, dpow)
 
-    monkeypatch.setattr(densepoly, "peel_roots", counted_peel)
+    monkeypatch.setattr(adjoint, "nf_mul", counted_mul)
     monkeypatch.setattr(LocElement, "lifted", counted_lifted)
     return counts
 
 
-@pytest.mark.parametrize("k, lifts", [(1, 6), (2, 10), (3, 15), (4, 21), (5, 28)])
-def test_weyl_roots_are_peeled_from_the_weights(weyl, root_search, k, lifts):
-    # the roots 1, c^-1, ..., c^-k are all the weights the lifts hold
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_weyl_roots_are_peeled_from_the_weights(weyl, products, k):
+    # the roots 1, c^-1, ..., c^-k, one peel of two products each
     spec = ad_minimal_polynomial(weyl, 0, weyl.gen_power(1, k))
-    assert spec.degree == k + 1
-    assert root_search == {"candidates": [k + 1], "lifts": lifts}
+    assert spec.roots == tuple(UnitMonomial.var(weyl.params, "c", -j)
+                               for j in range(k + 1))
+    assert products == {"nf_mul": 2 * (k + 1), "lifts": 0}
 
 
-def test_matrices_roots_are_peeled_from_the_weights(root_search):
+def test_matrices_roots_are_peeled_from_the_weights(products):
     p = quantum_matrices(3)
-    spec = ad_eigencomponents(p, 0, p.gen(8))
-    assert len(spec.roots) == 2
-    assert root_search == {"candidates": [2], "lifts": 10}
+    spec = ad_minimal_polynomial(p, 0, p.gen(8))
+    assert spec.degree == 2
+    assert products == {"nf_mul": 4, "lifts": 0}
 
 
 def test_zero_element_rejected(weyl):

@@ -1,13 +1,16 @@
-"""The adjoint's root search against the wide candidate pool it replaced.
+"""The adjoint's weight peeling against the Krylov elimination it replaced.
 
-reference_adjoint.py keeps the old pool of 1, the conjugation weights,
-their inverses and quotients, and every commutation scalar with its
-inverse.  Trying only the weights of the last lift must give the same
-minimal polynomial, roots, multiplicities and components, and every root
-must be a weight of the lifted Krylov vectors.  The elements are seeded
-over the built-in families, a Jordan block and a plane with invertible
-letters, and drawn by hypothesis over small presentations whose one or
-two tails use no letter at or before their pair's first generator.
+reference_adjoint.py keeps the old elimination over the fraction field
+with its wide root pool.  Swapped in for ad_minimal_polynomial, it must
+give the same minimal polynomial, roots, multiplicities and components,
+and every root must be a weight of the lifted Krylov vectors.  The
+elements are seeded over the built-in families, a Jordan block and a
+plane with invertible letters, and drawn by hypothesis over small
+presentations whose one or two tails use no letter at or before their
+pair's first generator.  At degree three, where the elimination is too
+slow to serve, the minimal polynomial is checked without an oracle: it
+annihilates the element, and no factor of it with one linear factor
+dropped does.
 """
 
 import random
@@ -22,13 +25,13 @@ from qsolv import (
     UnitMonomial,
     ad_apply,
     ad_eigencomponents,
-    ad_minimal_polynomial,
     adjoint,
+    densepoly,
     loc_element,
     quantum_matrices,
     quantum_weyl,
 )
-from reference_adjoint import reference_root_candidates
+from reference_adjoint import reference_minimal_polynomial
 from test_mul_table import plane_torus
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -48,7 +51,7 @@ def spectrum(p, xidx, a):
     try:
         spec = ad_eigencomponents(p, xidx, a, DEGREE_CAP)
     except RepeatedRootError:
-        spec = ad_minimal_polynomial(p, xidx, a, DEGREE_CAP)
+        spec = adjoint.ad_minimal_polynomial(p, xidx, a, DEGREE_CAP)
     except QsolvError as exc:
         return type(exc)
     return spec.minpoly, spec.roots, spec.multiplicities, spec.components
@@ -68,7 +71,7 @@ def lift_weights(p, xidx, a, degree):
 def assert_matches_reference(p, xidx, a, monkeypatch):
     got = spectrum(p, xidx, a)
     with monkeypatch.context() as m:
-        m.setattr(adjoint, "_root_candidates", reference_root_candidates)
+        m.setattr(adjoint, "ad_minimal_polynomial", reference_minimal_polynomial)
         want = spectrum(p, xidx, a)
     assert got == want, (p.name, xidx, str(a))
     if isinstance(got, tuple):
@@ -76,16 +79,16 @@ def assert_matches_reference(p, xidx, a, monkeypatch):
         assert set(roots) <= lift_weights(p, xidx, a, len(minpoly) - 1)
 
 
-def random_element(p, rng):
-    """One or two terms of degree at most two, each invertible letter
-    possibly inverted, with small integer coefficients.  Degree three
-    already costs tens of seconds on quantum_matrices(3) in the Krylov
-    elimination, which is not what these tests check."""
+def random_element(p, rng, degree=2):
+    """One or two terms of at most the given degree, each invertible
+    letter possibly inverted, with small integer coefficients.  Degree
+    three already costs tens of seconds on quantum_matrices(3) in the
+    reference elimination."""
     width = p.n + p.m
     out = p.zero()
     for _ in range(rng.randint(1, 2)):
         key = [0] * width
-        for _ in range(rng.randint(0, 2)):
+        for _ in range(rng.randint(0, degree)):
             key[rng.randrange(width)] += 1
         for pos in range(p.n, width):
             key[pos] -= rng.randint(0, 1)
@@ -93,11 +96,14 @@ def random_element(p, rng):
     return out
 
 
-@pytest.mark.parametrize("build", [
+FAMILIES = pytest.mark.parametrize("build", [
     lambda: quantum_weyl(1), lambda: quantum_weyl(2),
     lambda: quantum_matrices(2), lambda: quantum_matrices(3),
     jordan, plane_torus,
 ], ids=["weyl1", "weyl2", "matrices2", "matrices3", "jordan", "plane_torus"])
+
+
+@FAMILIES
 def test_weight_roots_match_the_reference_pool(build, monkeypatch):
     p = build()
     rng = random.Random(p.name)
@@ -146,3 +152,55 @@ def test_weight_roots_match_the_reference_pool_on_drawn_presentations(p, seed):
     with pytest.MonkeyPatch.context() as monkeypatch:
         assert_matches_reference(p, rng.randrange(p.n), random_element(p, rng),
                                  monkeypatch)
+
+
+def ad_value(p, xidx, a, coeffs):
+    """The polynomial with the given coefficients in Ad, applied to a."""
+    power = loc_element(p, xidx, a)
+    total = power.scale(coeffs[0])
+    for c in coeffs[1:]:
+        power = ad_apply(p, xidx, power)
+        total = total + power.scale(c)
+    return total
+
+
+def assert_minimal(p, xidx, a):
+    """The minimal polynomial kills a, and dropping any one linear factor
+    leaves a polynomial that does not, so no proper divisor kills a."""
+    try:
+        spec = adjoint.ad_minimal_polynomial(p, xidx, a, DEGREE_CAP)
+    except QsolvError:
+        return
+    assert ad_value(p, xidx, a, spec.minpoly).is_zero(), (p.name, xidx, str(a))
+    for root in spec.roots:
+        factor = [-root.as_poly(), 1]
+        quotient, rest = densepoly.divmod(list(spec.minpoly), factor)
+        assert not rest
+        assert not ad_value(p, xidx, a, quotient).is_zero(), (p.name, xidx, str(a))
+
+
+@FAMILIES
+def test_degree_three_minimal_polynomials_are_minimal(build):
+    p = build()
+    rng = random.Random(p.name + " degree three")
+    for _ in range(12):
+        assert_minimal(p, rng.randrange(p.n), random_element(p, rng, degree=3))
+
+
+def test_slow_elimination_case_is_minimal():
+    # Ad_a21 on this element took about 20 s in the Krylov elimination
+    p = quantum_matrices(3)
+    a = p.monomial((1, 0, 0, 0, 0, 0, 0, 1, 1), 1) + p.monomial((0,) * 9, -2)
+    spec = adjoint.ad_minimal_polynomial(p, 3, a)
+    assert [str(r) for r in spec.roots] == [
+        "1", "q12^-2*q13^-1*q23^2", "h^-2*q12^-2*q13^-1*q23^2",
+        "h^2*q12^-2*q13^-1*q23^2",
+    ]
+    assert_minimal(p, 3, a)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(p=placed_presentations(), seed=st.integers(0, 2**16))
+def test_degree_three_minimal_polynomials_are_minimal_on_drawn_presentations(p, seed):
+    rng = random.Random(seed)
+    assert_minimal(p, rng.randrange(p.n), random_element(p, rng, degree=3))
