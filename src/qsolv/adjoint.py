@@ -15,7 +15,7 @@ from . import densepoly
 from .errors import AdRootError, LocalizationError, RepeatedRootError
 from .normalform import NFElement, nf_mul
 from .params import (
-    FracElem, Frozen, LaurentPoly, UnitMonomial, _set_field, as_field_element, unit_product,
+    FracElem, Frozen, LaurentPoly, _set_field, unit_product,
 )
 
 
@@ -33,8 +33,6 @@ def _divide_right_once(p, xidx, elem):
     polynomial letter it contains commutes with it without a tail; the
     single letter then moves out to the right across a scalar.
     """
-    if elem.is_zero():
-        return elem
     out = {}
     for key, coef in elem.terms.items():
         if key[xidx] < 1:
@@ -106,8 +104,6 @@ class LocElement(Frozen):
         return LocElement(self.pres, self.xidx, -self.num, self.dpow)
 
     def scale(self, value):
-        if isinstance(value, UnitMonomial):
-            value = value.as_poly()
         return LocElement(self.pres, self.xidx, self.num.scale(value), self.dpow)
 
     def __eq__(self, other):
@@ -145,9 +141,10 @@ def ad_apply(p, xidx, a):
 class AdSpectrum(Frozen):
     """Minimal polynomial data of the conjugation action on one element.
 
-    minpoly is monic with coefficients listed from degree zero upward;
-    roots are pairwise distinct with matching multiplicities; components
-    are filled in by the eigencomponent pass and sum to the element.
+    minpoly is monic with LaurentPoly coefficients listed from degree zero
+    upward; roots are pairwise distinct with matching multiplicities;
+    components are filled in by the eigencomponent pass and sum to the
+    element.  Only the components' coefficients are fractions.
     """
 
     __slots__ = ("pres", "xidx", "element", "minpoly", "roots",
@@ -236,10 +233,10 @@ def ad_minimal_polynomial(p, xidx, a, degree_cap=16):
         )
 
     roots = sorted(counts, key=lambda u: (sum(map(abs, u.exps)), u.exps, -u.sign))
-    one = as_field_element(1, p.params)
+    one = LaurentPoly.one(p.params)
     minpoly = [one]
     for root in roots:
-        factor = [as_field_element(-root, p.params), one]
+        factor = [-root.as_poly(), one]
         for _ in range(counts[root]):
             minpoly = densepoly.mul(minpoly, factor)
     return AdSpectrum(p, xidx, a, minpoly, roots, [counts[r] for r in roots])
@@ -250,28 +247,30 @@ def ad_eigencomponents(p, xidx, a, degree_cap=16):
 
     Component m is prod_(j != m) (Ad - gamma_j) applied to the element,
     divided by prod_(j != m) (gamma_m - gamma_j); requires all roots
-    simple.
+    simple.  Each factor is the peeling's numerator step, which stays in
+    the coefficient ring like the minimal polynomial's LaurentPoly
+    coefficients; only the one division per component makes fractions.
     """
     spec = ad_minimal_polynomial(p, xidx, a, degree_cap)
     for root, mult in zip(spec.roots, spec.multiplicities):
         if mult > 1:
             raise RepeatedRootError(root)
     a = spec.element
-    params = p.params
-    one = as_field_element(1, params)
+    x = p.gen(xidx)
+    one = LaurentPoly.one(p.params)
     components = []
     for m, gm in enumerate(spec.roots):
         if len(spec.roots) == 1:
             components.append(a)
             break
-        b = a
-        den = LaurentPoly.one(params)
+        num, den = a.num, one
         for j, gj in enumerate(spec.roots):
             if j == m:
                 continue
-            b = ad_apply(p, xidx, b) - b.scale(gj)
+            num = nf_mul(x, num) - nf_mul(num, x).scale(gj)
             den = den * (gm.as_poly() - gj.as_poly())
-        components.append(b.scale(one / den))
+        comp = LocElement(p, xidx, num, a.dpow + len(spec.roots) - 1)
+        components.append(comp.scale(FracElem(one, den)))
     return AdSpectrum(p, xidx, a, spec.minpoly, spec.roots,
                       spec.multiplicities, components)
 

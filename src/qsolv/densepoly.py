@@ -1,9 +1,11 @@
 """Dense univariate polynomials as ascending coefficient lists.
 
 Entry k is the coefficient of t^k; a trimmed list ends in a nonzero entry
-and the zero polynomial is the empty list.  Coefficients are ``Fraction``
-or ``FracElem``; integers are read as ``Fraction``, so that division stays
-exact.
+and the zero polynomial is the empty list.  Coefficients are ``Fraction``,
+``LaurentPoly`` or ``FracElem``; integers are read as ``Fraction``, so that
+division stays exact, and ``divmod`` needs field values.  The adjoint's
+minimal polynomials have ``LaurentPoly`` coefficients; only its
+eigencomponents' coefficients are fractions.
 """
 
 from fractions import Fraction

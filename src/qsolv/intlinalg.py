@@ -118,20 +118,6 @@ def hnf_contains(dim, basis_cols, v):
     return not any(rem)
 
 
-def abs_det(rows):
-    """|det A| of a square integer matrix, via HNF pivots."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    hcols, _, pivots = column_hnf(rows, n, n)
-    if len(pivots) < n:
-        return 0
-    d = 1
-    for row, col in pivots:
-        d *= hcols[col][row]
-    return abs(d)
-
-
 def complete_to_unimodular(dim, basis_cols):
     """Extend independent columns spanning a direct summand to a basis of Z^dim.
 

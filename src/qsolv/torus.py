@@ -97,9 +97,11 @@ class LatticeSubgroup(Frozen):
         return not self.basis
 
     def is_full(self):
-        return self.rank == self.dim and intlinalg.abs_det(
-            [[col[r] for col in self.basis] for r in range(self.dim)]
-        ) == 1
+        # the index is the product of the HNF pivots, each its column's
+        # leading entry and positive
+        return self.rank == self.dim and all(
+            next(v for v in col if v) == 1 for col in self.basis
+        )
 
     def __eq__(self, other):
         if not isinstance(other, LatticeSubgroup):
@@ -262,7 +264,10 @@ def root_of_unity_structure(P, N):
     K = LatticeSubgroup(n, projected)
     if K.rank != n:
         raise LatticeError("congruence lattice is degenerate")
-    rank = intlinalg.abs_det([[col[r] for col in K.basis] for r in range(n)])
+    # [Z^n : K] is the product of the HNF pivots, each its column's leading entry
+    rank = 1
+    for col in K.basis:
+        rank *= next(v for v in col if v)
     return K, rank
 
 

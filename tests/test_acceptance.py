@@ -39,8 +39,8 @@ from qsolv import (
     stratify_rank2,
     validate_presentation,
 )
-from qsolv.intlinalg import abs_det
 from qsolv.torus import LatticeSubgroup
+from reference_intlinalg import abs_det
 
 
 def _random_element(p, rng, max_terms=3, max_degree=3):

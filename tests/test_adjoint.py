@@ -205,10 +205,10 @@ def test_factor_over_differences_keeps_single_term_differences_in_the_unit():
 
 @pytest.fixture
 def products(monkeypatch):
-    """Counts of the nf_mul calls made from the adjoint module and of
-    every LocElement.lifted call."""
-    counts = {"nf_mul": 0, "lifts": 0}
-    mul, lifted = adjoint.nf_mul, LocElement.lifted
+    """Counts of the nf_mul and ad_apply calls made from the adjoint
+    module and of every LocElement.lifted call."""
+    counts = {"nf_mul": 0, "lifts": 0, "ad_apply": 0}
+    mul, lifted, apply = adjoint.nf_mul, LocElement.lifted, adjoint.ad_apply
 
     def counted_mul(left, right):
         counts["nf_mul"] += 1
@@ -218,8 +218,13 @@ def products(monkeypatch):
         counts["lifts"] += 1
         return lifted(self, dpow)
 
+    def counted_apply(p, xidx, a):
+        counts["ad_apply"] += 1
+        return apply(p, xidx, a)
+
     monkeypatch.setattr(adjoint, "nf_mul", counted_mul)
     monkeypatch.setattr(LocElement, "lifted", counted_lifted)
+    monkeypatch.setattr(adjoint, "ad_apply", counted_apply)
     return counts
 
 
@@ -229,14 +234,25 @@ def test_weyl_roots_are_peeled_from_the_weights(weyl, products, k):
     spec = ad_minimal_polynomial(weyl, 0, weyl.gen_power(1, k))
     assert spec.roots == tuple(UnitMonomial.var(weyl.params, "c", -j)
                                for j in range(k + 1))
-    assert products == {"nf_mul": 2 * (k + 1), "lifts": 0}
+    assert products == {"nf_mul": 2 * (k + 1), "lifts": 0, "ad_apply": 0}
 
 
 def test_matrices_roots_are_peeled_from_the_weights(products):
     p = quantum_matrices(3)
     spec = ad_minimal_polynomial(p, 0, p.gen(8))
     assert spec.degree == 2
-    assert products == {"nf_mul": 4, "lifts": 0}
+    assert products == {"nf_mul": 4, "lifts": 0, "ad_apply": 0}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_weyl_components_take_the_peeling_step(weyl, products, k):
+    # d = k + 1 simple roots: 2d products to peel, then d - 1 steps of two
+    # products for each of the d components, on numerators only
+    spec = ad_eigencomponents(weyl, 0, weyl.gen_power(1, k))
+    d = k + 1
+    assert len(spec.components) == d
+    assert products == {"nf_mul": 2 * d * d, "lifts": 0, "ad_apply": 0}
+    assert all(type(c) is LaurentPoly for c in spec.minpoly)
 
 
 def test_zero_element_rejected(weyl):

@@ -26,6 +26,7 @@ from qsolv import (
     ad_apply,
     ad_eigencomponents,
     adjoint,
+    as_field_element,
     densepoly,
     loc_element,
     quantum_matrices,
@@ -172,9 +173,11 @@ def assert_minimal(p, xidx, a):
     except QsolvError:
         return
     assert ad_value(p, xidx, a, spec.minpoly).is_zero(), (p.name, xidx, str(a))
+    # the division needs field coefficients; the minimal polynomial's are Laurent
+    minpoly = [as_field_element(c, p.params) for c in spec.minpoly]
     for root in spec.roots:
         factor = [-root.as_poly(), 1]
-        quotient, rest = densepoly.divmod(list(spec.minpoly), factor)
+        quotient, rest = densepoly.divmod(minpoly, factor)
         assert not rest
         assert not ad_value(p, xidx, a, quotient).is_zero(), (p.name, xidx, str(a))
 

@@ -11,6 +11,8 @@ import qsolv
 from qsolv import (
     LaurentPoly,
     ParseError,
+    SpecTarget,
+    is_central_at,
     nf_mul,
     quantum_affine,
     quantum_matrices,
@@ -518,3 +520,52 @@ def test_report_file(tmp_path, plane_file, capsys):
     assert lines == sorted(lines)
     assert "command: validate" in lines
     assert all(": " in line for line in lines)
+
+
+def run_on_text(tmp_path, capsys, text, *argv):
+    """Exit status, stdout lines and stderr of a command on one file."""
+    path = tmp_path / "case.alg"
+    path.write_text(text)
+    status = run_command([argv[0], str(path), *argv[1:]])
+    captured = capsys.readouterr()
+    return status, captured.out.splitlines(), captured.err
+
+
+def test_negative_scalar_validates_with_a_note(tmp_path, capsys):
+    text = PLANE_SRC.replace("commute x y : q", "commute x y : -q")
+    assert run_on_text(tmp_path, capsys, text, "validate") == (0, [
+        "WF OK", "Q1 OK", "Q2 OK",
+        "Q2 note: negative unit scalars present; torsion-free generically "
+        "but fragile under specialization",
+        "Q3 OK",
+    ], "")
+
+
+def test_param_without_a_value_is_an_input_error(tmp_path, capsys):
+    assert run_on_text(tmp_path, capsys, PLANE_SRC, "specialize", "--param", "q") == (
+        2, [], "error: --param expects NAME=VALUE, got 'q'\n")
+
+
+def test_second_tail_line_for_a_pair_is_a_parse_error(tmp_path, capsys):
+    text = "algebra D\nparams q\ngens x poly, y poly\ntail x y : 1\ntail x y : 1\n"
+    assert run_on_text(tmp_path, capsys, text, "validate") == (
+        2, [], "parse error at line 5, column 1: duplicate tail entry for x y\n")
+
+
+def test_stratify_refuses_a_tail_with_a_letter(tmp_path, capsys):
+    # two generators and one parameter, but the tail is y, not a scalar
+    assert run_on_text(tmp_path, capsys, PLANE_SRC + "tail x y : y\n", "stratify") == (
+        3, [], "unsupported: stratification supports tail-free presentations "
+               "and the rank-2 single-tail family only\n")
+
+
+def test_center_of_a_torus_without_parameters(tmp_path, capsys):
+    status, out, err = run_on_text(
+        tmp_path, capsys, "algebra T\ngens x laurent, y laurent\n", "center")
+    assert (status, out[0], err) == (
+        0, "G = <[1, 0], [0, 1]>; center = C[Y^m : m in G]", "")
+
+
+def test_generator_is_not_central_at_a_rational_value():
+    p = quantum_plane()
+    assert is_central_at(p, p.gen(0), SpecTarget.rational({"q": 2})) is False

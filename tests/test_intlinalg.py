@@ -6,7 +6,6 @@ import pytest
 
 from qsolv.errors import LatticeError
 from qsolv.intlinalg import (
-    abs_det,
     column_hnf,
     complete_to_unimodular,
     hnf_columns,
@@ -14,6 +13,7 @@ from qsolv.intlinalg import (
     kernel_basis,
     xgcd,
 )
+from reference_intlinalg import abs_det
 
 
 def _mat_mul_col(rows, col):

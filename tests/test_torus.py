@@ -14,12 +14,14 @@ from qsolv import (
     commutation_factor,
     compatible_basis,
     nf_mul,
+    quantum_affine,
     quantum_plane,
     root_of_unity_structure,
     torus_normal_scalar,
     torus_of_presentation,
 )
-from qsolv.intlinalg import abs_det
+from qsolv import intlinalg
+from reference_intlinalg import abs_det
 from reference_rewriter import reference_mul
 
 Q = ("q",)
@@ -255,6 +257,50 @@ def test_multi_parameter_reduction_rejected():
     P = TorusPresentation(2, ("a", "b"), {(0, 1): u})
     with pytest.raises(LatticeError):
         root_of_unity_structure(P, 3)
+
+
+@pytest.fixture
+def hnf_calls(monkeypatch):
+    """The shapes of the column HNFs computed, in call order."""
+    calls = []
+    hnf = intlinalg.column_hnf
+
+    def counted(rows, m, n):
+        calls.append((m, n))
+        return hnf(rows, m, n)
+
+    monkeypatch.setattr(intlinalg, "column_hnf", counted)
+    return calls
+
+
+def test_lattice_index_is_read_off_the_hermite_pivots(hnf_calls):
+    # one HNF for the congruence kernel and one for K's basis; the index
+    # needs none, nor does is_full
+    P = torus_of_presentation(quantum_affine(6), range(6))
+    K, rank = root_of_unity_structure(P, 5)
+    made = len(hnf_calls)
+    full = LatticeSubgroup(6, [[1 if i == j else 0 for i in range(6)] for j in range(6)])
+    del hnf_calls[:]
+    assert not K.is_full() and full.is_full()
+    assert (rank, made, len(hnf_calls)) == (15625, 2, 0)
+
+
+def test_lattice_index_matches_the_determinant():
+    rng = random.Random(23)
+    for _ in range(40):
+        dim = rng.randint(1, 4)
+        vectors = [tuple(rng.randint(-3, 3) for _ in range(dim))
+                   for _ in range(rng.randint(dim, dim + 2))]
+        L = LatticeSubgroup(dim, vectors)
+        rows = [[col[r] for col in L.basis] for r in range(dim)]
+        assert L.is_full() == (L.rank == dim and abs_det(rows) == 1)
+        P = _random_torus(rng, dim)
+        N = rng.randint(1, 6)
+        try:
+            K, rank = root_of_unity_structure(P, N)
+        except LatticeError:
+            continue
+        assert rank == abs_det([[col[r] for col in K.basis] for r in range(dim)])
 
 
 def test_torus_of_presentation():
