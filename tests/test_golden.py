@@ -40,7 +40,9 @@ ADJOINT = {
               ("y", "x^5", "--degree-cap", "5")),
     "weyl2": (("y1", "x1"),),
     "matrices2": (("a22", "a11"),),
-    "matrices3": (("a11", "a33"),),
+    "matrices3": (("a11", "a33"),
+                  # nf_mul is not associative on this family (ROADMAP item 2)
+                  ("a12", "a33^2 + a22")),
     "jordan": (("x", "y"),),
 }
 
