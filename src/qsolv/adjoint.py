@@ -104,7 +104,14 @@ class LocElement(Frozen):
         return LocElement(self.pres, self.xidx, -self.num, self.dpow)
 
     def scale(self, value):
-        return LocElement(self.pres, self.xidx, self.num.scale(value), self.dpow)
+        """Multiply by a central scalar.  A nonzero one keeps every
+        numerator key, so the product is as reduced as self: it is built
+        at power 0, which tests no division, and then given self's."""
+        num = self.num.scale(value)
+        out = LocElement(self.pres, self.xidx, num)
+        if num:
+            _set_field(out, "dpow", self.dpow)
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, LocElement):
@@ -200,12 +207,24 @@ def ad_minimal_polynomial(p, xidx, a, degree_cap=16):
     has the minimal degree.  Tails that break WF placement can stop the
     fall, which raises AdRootError.
     """
+    return _peel(p, xidx, a, degree_cap)[0]
+
+
+def _peel(p, xidx, a, degree_cap, simple=False):
+    """The spectrum of ad_minimal_polynomial and the peel's steps.
+
+    Step k is (w_k, num_k, num_k * x): the weight taken, the numerator
+    of b_k over x^(a.dpow + k), and its lift, so that b_(k+1) has the
+    numerator x * num_k - w_k * num_k * x.  With simple set, a repeated
+    root raises RepeatedRootError.
+    """
     _check_site(p, xidx)
     a = loc_element(p, xidx, a)
     if a.is_zero():
         raise AdRootError("the zero element has no minimal polynomial")
     x = p.gen(xidx)
     num = a.num
+    steps = []
     counts = {}
     for _ in range(degree_cap):
         if num.is_zero():
@@ -220,6 +239,7 @@ def ad_minimal_polynomial(p, xidx, a, degree_cap=16):
         lead = max(lifted.terms)
         weight = _conjugation_weight(p, xidx, lead)
         counts[weight] = counts.get(weight, 0) + 1
+        steps.append((weight, num, lifted))
         num = nf_mul(x, num) - lifted.scale(weight)
         if num and max(num.terms) >= lead:
             raise AdRootError(
@@ -233,13 +253,52 @@ def ad_minimal_polynomial(p, xidx, a, degree_cap=16):
         )
 
     roots = sorted(counts, key=lambda u: (sum(map(abs, u.exps)), u.exps, -u.sign))
+    if simple:
+        for root in roots:
+            if counts[root] > 1:
+                raise RepeatedRootError(root)
     one = LaurentPoly.one(p.params)
     minpoly = [one]
     for root in roots:
         factor = [-root.as_poly(), one]
         for _ in range(counts[root]):
             minpoly = densepoly.mul(minpoly, factor)
-    return AdSpectrum(p, xidx, a, minpoly, roots, [counts[r] for r in roots])
+    spec = AdSpectrum(p, xidx, a, minpoly, roots, [counts[r] for r in roots])
+    return spec, steps
+
+
+def _components(p, xidx, spec, steps, roots):
+    """The eigencomponents of the given roots, from the Newton form in
+    ad_eigencomponents.
+
+    Over x^(a.dpow + d - 1) the peeled vector b_k has the numerator
+    L_k = num_k * x^(d-1-k): the last numerator, the peel's own lift
+    before it, and one product each further back, made only from the
+    first root wanted on.  Component r sums prod_(j > k) (w_r - w_j) * L_k
+    over k >= r by Horner's rule, one difference per step, and divides
+    once by prod_(j != r) (w_r - w_j).
+    """
+    a, d = spec.element, len(steps)
+    if d == 1:
+        return [a] * len(roots)
+    order = [weight for weight, _, _ in steps]
+    w = [weight.as_poly() for weight in order]
+    lifts = {d - 2: steps[-2][2], d - 1: steps[-1][1]}
+    for k in range(min(map(order.index, roots)), d - 2):
+        lifts[k] = nf_mul(steps[k][2], p.gen_power(xidx, d - 2 - k))
+    one = LaurentPoly.one(p.params)
+    out = []
+    for root in roots:
+        r = order.index(root)
+        num, den = lifts[r], one
+        for j, wj in enumerate(w):
+            if j != r:
+                diff = w[r] - wj
+                den = den * diff
+                if j > r:
+                    num = num.scale(diff) + lifts[j]
+        out.append(LocElement(p, xidx, num, a.dpow + d - 1).scale(FracElem(one, den)))
+    return out
 
 
 def ad_eigencomponents(p, xidx, a, degree_cap=16):
@@ -247,46 +306,35 @@ def ad_eigencomponents(p, xidx, a, degree_cap=16):
 
     Component m is prod_(j != m) (Ad - gamma_j) applied to the element,
     divided by prod_(j != m) (gamma_m - gamma_j); requires all roots
-    simple.  Each factor is the peeling's numerator step, which stays in
-    the coefficient ring like the minimal polynomial's LaurentPoly
-    coefficients; only the one division per component makes fractions.
+    simple.  With the roots in the peel's order w_0, ..., w_(d-1) and
+    the peeled vectors b_k = prod_(j < k) (Ad - w_j) a, this Lagrange
+    projector has the Newton form
+
+        l_r(Ad) a = sum_(k >= r) b_k / prod_(j <= k, j != r) (w_r - w_j),
+
+    so the components are sums of the peel's own vectors, and the
+    products that bring them to one denominator are shared by all of
+    them.  The numerators stay in the coefficient ring like the minimal
+    polynomial's LaurentPoly coefficients; only the one division per
+    component makes fractions.
     """
-    spec = ad_minimal_polynomial(p, xidx, a, degree_cap)
-    for root, mult in zip(spec.roots, spec.multiplicities):
-        if mult > 1:
-            raise RepeatedRootError(root)
-    a = spec.element
-    x = p.gen(xidx)
-    one = LaurentPoly.one(p.params)
-    components = []
-    for m, gm in enumerate(spec.roots):
-        if len(spec.roots) == 1:
-            components.append(a)
-            break
-        num, den = a.num, one
-        for j, gj in enumerate(spec.roots):
-            if j == m:
-                continue
-            num = nf_mul(x, num) - nf_mul(num, x).scale(gj)
-            den = den * (gm.as_poly() - gj.as_poly())
-        comp = LocElement(p, xidx, num, a.dpow + len(spec.roots) - 1)
-        components.append(comp.scale(FracElem(one, den)))
-    return AdSpectrum(p, xidx, a, spec.minpoly, spec.roots,
-                      spec.multiplicities, components)
+    spec, steps = _peel(p, xidx, a, degree_cap, simple=True)
+    return AdSpectrum(p, xidx, spec.element, spec.minpoly, spec.roots,
+                      spec.multiplicities, _components(p, xidx, spec, steps, spec.roots))
 
 
 def replacement_generator(p, xidx, gidx, degree_cap=16):
     """The eigencomponent of generator gidx whose eigenvalue is the bare
     commutation scalar with the localized generator; it q-commutes with
-    that generator and can replace the original one."""
-    spec = ad_eigencomponents(p, xidx, p.gen(gidx), degree_cap)
+    that generator and can replace the original one.  Only that
+    component is built."""
+    spec, steps = _peel(p, xidx, p.gen(gidx), degree_cap, simple=True)
     target = p.commutation_unit(xidx, gidx)
-    for root, comp in zip(spec.roots, spec.components):
-        if root == target:
-            return comp
-    raise AdRootError(
-        f"no component with eigenvalue {target}; cannot rebuild {p.gens[gidx]}"
-    )
+    if target not in spec.roots:
+        raise AdRootError(
+            f"no component with eigenvalue {target}; cannot rebuild {p.gens[gidx]}"
+        )
+    return _components(p, xidx, spec, steps, [target])[0]
 
 
 def difference_set(roots):

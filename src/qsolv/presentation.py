@@ -202,14 +202,16 @@ class Presentation(Frozen):
         return NFElement(self, {tuple(key): coef})
 
     def gen(self, pos):
-        key = [0] * len(self.gens)
-        key[pos] = 1
-        return NFElement(self, {tuple(key): Fraction(1)})
+        return self.gen_power(pos, 1)
 
     def generator(self, name):
         return self.gen(self.position(name))
 
     def gen_power(self, pos, power):
+        if not 0 <= pos < len(self.gens):
+            raise PresentationError(
+                f"generator position {pos} is outside 0..{len(self.gens) - 1}"
+            )
         power = int(power)
         if power < 0 and pos < self.n:
             raise PresentationError(

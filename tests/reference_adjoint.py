@@ -10,9 +10,19 @@ scalar and q_i with its inverse.  The library now peels the roots off
 the conjugation weights one factor at a time; peel_roots reports roots
 in candidate order, and the pool sorts by the library's key, so the two
 must give the same minimal polynomial, roots and multiplicities.
+
+ad_eigencomponents used to apply the peel's numerator step d - 1 times
+for each of the d components, 2d^2 products in all; the library now
+sums the peel's own vectors in the Newton form of each projector.
+reference_eigencomponents keeps the old loop, and reads the minimal
+polynomial through the adjoint module, so a test can swap in the
+elimination above.
 """
 
-from qsolv import AdRootError, UnitMonomial, ad_apply, densepoly, loc_element
+from qsolv import (
+    AdRootError, FracElem, LaurentPoly, LocElement, RepeatedRootError, UnitMonomial,
+    ad_apply, adjoint, densepoly, loc_element, nf_mul,
+)
 from qsolv.adjoint import AdSpectrum, _conjugation_weight
 from qsolv.params import as_field_element
 
@@ -99,3 +109,29 @@ def reference_minimal_polynomial(p, xidx, a, degree_cap=16):
         raise AdRootError("minimal polynomial has a root outside the pool")
     return AdSpectrum(p, xidx, a, coeffs, [root for root, _ in found],
                       [mult for _, mult in found])
+
+
+def reference_eigencomponents(p, xidx, a, degree_cap=16):
+    """Each component by its own d - 1 numerator steps, one per other root."""
+    spec = adjoint.ad_minimal_polynomial(p, xidx, a, degree_cap)
+    for root, mult in zip(spec.roots, spec.multiplicities):
+        if mult > 1:
+            raise RepeatedRootError(root)
+    a = spec.element
+    x = p.gen(xidx)
+    one = LaurentPoly.one(p.params)
+    components = []
+    for m, gm in enumerate(spec.roots):
+        if len(spec.roots) == 1:
+            components.append(a)
+            break
+        num, den = a.num, one
+        for j, gj in enumerate(spec.roots):
+            if j == m:
+                continue
+            num = nf_mul(x, num) - nf_mul(num, x).scale(gj)
+            den = den * (gm.as_poly() - gj.as_poly())
+        comp = LocElement(p, xidx, num, a.dpow + len(spec.roots) - 1)
+        components.append(comp.scale(FracElem(one, den)))
+    return AdSpectrum(p, xidx, a, spec.minpoly, spec.roots,
+                      spec.multiplicities, components)

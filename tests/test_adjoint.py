@@ -10,6 +10,7 @@ from qsolv import (
     LocElement,
     LocalizationError,
     Presentation,
+    PresentationError,
     RepeatedRootError,
     UnitMonomial,
     ad_apply,
@@ -244,15 +245,59 @@ def test_matrices_roots_are_peeled_from_the_weights(products):
     assert products == {"nf_mul": 4, "lifts": 0, "ad_apply": 0}
 
 
+# d = k + 1 simple roots: 2d products to peel, then one product for each
+# peeled vector but the last two, shared by the d components
+COMPONENT_PRODUCTS = {1: 4, 2: 7, 3: 10, 4: 13, 5: 16}
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_weyl_components_take_the_peeling_step(weyl, products, k):
-    # d = k + 1 simple roots: 2d products to peel, then d - 1 steps of two
-    # products for each of the d components, on numerators only
     spec = ad_eigencomponents(weyl, 0, weyl.gen_power(1, k))
-    d = k + 1
-    assert len(spec.components) == d
-    assert products == {"nf_mul": 2 * d * d, "lifts": 0, "ad_apply": 0}
+    assert len(spec.components) == k + 1
+    assert products == {"nf_mul": COMPONENT_PRODUCTS[k], "lifts": 0, "ad_apply": 0}
     assert all(type(c) is LaurentPoly for c in spec.minpoly)
+
+
+@pytest.fixture
+def divisions(monkeypatch):
+    """The number of right-division tests made by LocElement."""
+    counts = {"divide": 0}
+    divide = adjoint._divide_right_once
+
+    def counted_divide(p, xidx, elem):
+        counts["divide"] += 1
+        return divide(p, xidx, elem)
+
+    monkeypatch.setattr(adjoint, "_divide_right_once", counted_divide)
+    return counts
+
+
+def test_replacement_builds_one_component(products, divisions):
+    # a11 on a33 has two roots; only the target's component is built, from
+    # the peel's own vectors, and its scaling tests no division again
+    p = quantum_matrices(3)
+    replacement_generator(p, 0, 8)
+    assert products == {"nf_mul": 4, "lifts": 0, "ad_apply": 0}
+    assert divisions == {"divide": 1}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: quantum_weyl(1), lambda: quantum_weyl(2), lambda: quantum_matrices(2),
+], ids=["weyl1", "weyl2", "matrices2"])
+def test_scale_keeps_the_reduced_form(build, monkeypatch):
+    p = build()
+    comps = [c for x in range(p.n) for g in range(p.n + p.m)
+             for c in ad_eigencomponents(p, x, p.gen(g)).components]
+    assert any(c.dpow for c in comps)
+    t = LaurentPoly.var(p.params, p.params[0])
+    values = [3, t, t - 1, FracElem(LaurentPoly.one(p.params), t + 2), 0]
+    checked = [LocElement(p, c.xidx, c.num.scale(v), c.dpow) for c in comps for v in values]
+    calls = []
+    monkeypatch.setattr(adjoint, "_divide_right_once", lambda *args: calls.append(args))
+    scaled = [c.scale(v) for c in comps for v in values]
+    assert calls == []
+    for got, want in zip(scaled, checked):
+        assert (str(got), got.dpow, got.num) == (str(want), want.dpow, want.num)
 
 
 def test_zero_element_rejected(weyl):
@@ -295,6 +340,13 @@ def test_element_that_lifts_to_zero_has_no_minimal_polynomial():
     for compute in (ad_minimal_polynomial, ad_eigencomponents):
         with pytest.raises(AdRootError, match="lifts to zero"):
             compute(p, 0, p.gen(1))
+
+
+@pytest.mark.parametrize("gidx", [-1, 2, 5])
+def test_replacement_generator_checks_the_position(weyl, gidx):
+    # -1 used to give the component of the last generator
+    with pytest.raises(PresentationError, match="outside 0..1"):
+        replacement_generator(weyl, 0, gidx)
 
 
 def test_replacement_generator_needs_a_split():

@@ -1,9 +1,14 @@
 """The adjoint's weight peeling against the Krylov elimination it replaced.
 
 reference_adjoint.py keeps the old elimination over the fraction field
-with its wide root pool.  Swapped in for ad_minimal_polynomial, it must
-give the same minimal polynomial, roots, multiplicities and components,
-and every root must be a weight of the lifted Krylov vectors.  The
+with its wide root pool, and the old component loop that took d - 1
+numerator steps per component.  Swapped in for ad_minimal_polynomial and
+ad_eigencomponents, they must give the same minimal polynomial, roots,
+multiplicities and components, and every root must be a weight of the
+lifted Krylov vectors.  The components of the Newton form must also print
+exactly as the old loop's, on seeded elements at degree one to three,
+on inputs with a denominator, on the weyl1 ladder x^k and on a large
+quantum_matrices(3) sample, where nf_mul is not associative.  The
 elements are seeded over the built-in families, a Jordan block and a
 plane with invertible letters, and drawn by hypothesis over small
 presentations whose one or two tails use no letter at or before their
@@ -19,6 +24,7 @@ import pytest
 
 from qsolv import (
     LaurentPoly,
+    LocElement,
     Presentation,
     QsolvError,
     RepeatedRootError,
@@ -32,7 +38,7 @@ from qsolv import (
     quantum_matrices,
     quantum_weyl,
 )
-from reference_adjoint import reference_minimal_polynomial
+from reference_adjoint import reference_eigencomponents, reference_minimal_polynomial
 from test_mul_table import plane_torus
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -46,11 +52,11 @@ def jordan():
     return Presentation("jordan", ("q",), ("x", "y"), 2, tails={(0, 1): {(0, 0): one}})
 
 
-def spectrum(p, xidx, a):
+def spectrum(p, xidx, a, eigencomponents=ad_eigencomponents):
     """The eigencomponent spectrum, the bare minimal polynomial data when
     a root repeats, or the error type."""
     try:
-        spec = ad_eigencomponents(p, xidx, a, DEGREE_CAP)
+        spec = eigencomponents(p, xidx, a, DEGREE_CAP)
     except RepeatedRootError:
         spec = adjoint.ad_minimal_polynomial(p, xidx, a, DEGREE_CAP)
     except QsolvError as exc:
@@ -73,7 +79,7 @@ def assert_matches_reference(p, xidx, a, monkeypatch):
     got = spectrum(p, xidx, a)
     with monkeypatch.context() as m:
         m.setattr(adjoint, "ad_minimal_polynomial", reference_minimal_polynomial)
-        want = spectrum(p, xidx, a)
+        want = spectrum(p, xidx, a, reference_eigencomponents)
     assert got == want, (p.name, xidx, str(a))
     if isinstance(got, tuple):
         minpoly, roots = got[:2]
@@ -111,6 +117,58 @@ def test_weight_roots_match_the_reference_pool(build, monkeypatch):
     for _ in range(24):
         assert_matches_reference(p, rng.randrange(p.n), random_element(p, rng),
                                  monkeypatch)
+
+
+def printed_components(eigencomponents, p, xidx, a, degree_cap=DEGREE_CAP):
+    """Each root with its component's denominator power and text, or the
+    error."""
+    try:
+        spec = eigencomponents(p, xidx, a, degree_cap)
+    except QsolvError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return " | ".join(f"{root}: {comp.dpow} {comp}"
+                      for root, comp in zip(spec.roots, spec.components))
+
+
+def assert_prints_as_reference(p, xidx, a, degree_cap=DEGREE_CAP):
+    got = printed_components(ad_eigencomponents, p, xidx, a, degree_cap)
+    want = printed_components(reference_eigencomponents, p, xidx, a, degree_cap)
+    assert got == want, (p.name, xidx, str(a))
+
+
+@FAMILIES
+def test_newton_components_print_as_the_reference(build):
+    p = build()
+    rng = random.Random(p.name + " newton")
+    for degree in (1, 2, 3):
+        for _ in range(6):
+            a = random_element(p, rng, degree)
+            for xidx in range(p.n):
+                assert_prints_as_reference(p, xidx, a)
+                # an input over x^-1 .. x^-3, reduced by the constructor
+                assert_prints_as_reference(
+                    p, xidx, LocElement(p, xidx, a, rng.randint(1, 3)))
+
+
+def test_newton_components_print_as_the_reference_on_the_weyl_ladder():
+    # Ad_y on x^k has the k + 1 roots 1, c^-1, ..., c^-k
+    p = quantum_weyl(1)
+    for k in range(1, 11):
+        assert_prints_as_reference(p, 0, p.gen_power(1, k), degree_cap=16)
+
+
+def test_newton_components_print_as_the_reference_on_matrices3():
+    # nf_mul is not associative here (ROADMAP item 2); the Newton form
+    # multiplies in another order than the old loop, and no line may move
+    p = quantum_matrices(3)
+    rng = random.Random("matrices3 newton")
+    lines = 0
+    for _ in range(230):
+        a = random_element(p, rng, rng.randint(1, 3))
+        for xidx in range(p.n):
+            assert_prints_as_reference(p, xidx, a)
+            lines += 1
+    assert lines >= 2000
 
 
 def units(params):

@@ -162,6 +162,19 @@ def test_element_constructors():
         p.generator("z")
 
 
+@pytest.mark.parametrize("pos", [-1, 2, 5])
+def test_generator_positions_are_checked(pos):
+    # a negative position used to wrap to the last generator, and one past
+    # the end raised a bare IndexError
+    p = quantum_plane()
+    with pytest.raises(PresentationError, match=f"generator position {pos} is outside 0..1"):
+        p.gen(pos)
+    with pytest.raises(PresentationError, match="outside"):
+        p.gen_power(pos, 2)
+    with pytest.raises(PresentationError, match="outside"):
+        p.gen_power(pos, -1)
+
+
 def test_replace_tail_breaks_homogeneity():
     p = quantum_weyl(1)
     one = LaurentPoly.one(p.params)
