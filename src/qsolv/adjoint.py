@@ -42,7 +42,7 @@ def _divide_right_once(p, xidx, elem):
         scalar = _conjugation_weight(p, xidx, (0,) * xidx + key[xidx:])
         newkey = list(key)
         newkey[xidx] -= 1
-        out[tuple(newkey)] = coef * scalar.as_poly()
+        out[tuple(newkey)] = coef.times_unit(scalar)
     return NFElement(p, out)
 
 

@@ -49,11 +49,12 @@ def divmod(a, b):
     rem, b = trim(_exact(a)), _exact(b)
     lead = b[-1]
     quo = [lead * 0] * max(len(rem) - len(b) + 1, 0)
+    terms = [(i, c) for i, c in enumerate(b) if c]  # a sparse divisor skips its zeros
     while len(rem) >= len(b):
         shift = len(rem) - len(b)
         factor = rem[-1] / lead
         quo[shift] = factor
-        for i, c in enumerate(b):
+        for i, c in terms:
             rem[shift + i] -= factor * c
         trim(rem)
     return quo, rem

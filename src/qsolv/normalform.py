@@ -33,11 +33,12 @@ RewriteBudgetError.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, sub
 
 from .errors import QsolvError, RewriteBudgetError
 from .params import (
-    FracElem, Frozen, LaurentPoly, UnitMonomial, monomial_text, normal_scalar, signed_sum,
-    term_text, unit_product,
+    FracElem, Frozen, LaurentPoly, UnitMonomial, _as_exponent, _as_exponents, monomial_text,
+    normal_scalar, signed_sum, support, term_text, unit_product,
 )
 
 # The most table fills one nf_mul call may add.  _RightTable reads it at
@@ -75,7 +76,7 @@ class NFElement(Frozen):
         clean = {}
         n, m = pres.n, pres.m
         for key, coef in terms.items():
-            key = tuple(int(v) for v in key)
+            key = _as_exponents(key)
             if len(key) != n + m:
                 raise ValueError("exponent key width does not match presentation")
             if any(v < 0 for v in key[:n]):
@@ -250,13 +251,14 @@ def _accumulate(out, key, coef):
 
 def _times_kblock(pres, terms, kvec):
     """Right product of a term map with the ordered invertible block k^kvec."""
-    right = (0,) * pres.n + kvec
+    n = pres.n
+    right = (0,) * n + kvec
+    support_r = [n + t for t, e in enumerate(kvec) if e]
     out = {}
     for key, coef in terms.items():
-        unit = normal_scalar(pres.commutation_unit, key, right, pres.params)
-        if not unit.is_one():
-            coef = coef * unit.as_poly()
-        _accumulate(out, tuple(x + y for x, y in zip(key, right)), coef)
+        unit = normal_scalar(pres.commutation_unit, key, right, pres.params,
+                             support(key), support_r)
+        _accumulate(out, tuple(map(add, key, right)), coef.times_unit(unit))
     return out
 
 
@@ -343,19 +345,16 @@ class _RightTable:
             if not any(map(key.__getitem__, tailed)):
                 after = key[a + 1:]
                 if any(after):
-                    unit = unit_product(
-                        (cu[c][a], e) for c, e in enumerate(after, a + 1) if e)
-                    if not unit.is_one():
-                        coef = coef * unit.as_poly()
+                    coef = coef.times_unit(unit_product(
+                        (cu[c][a], e) for c, e in enumerate(after, a + 1) if e))
                 _accumulate(out, key[:a] + (key[a] + 1,) + after, coef)
                 continue
             kvec = key[n:]
             shifted = any(kvec)
             if shifted:
                 # k^kvec * g_a = unit * g_a * k^kvec
-                unit = unit_product((cu[n + t][a], e) for t, e in enumerate(kvec) if e)
-                if not unit.is_one():
-                    coef = coef * unit.as_poly()
+                coef = coef.times_unit(
+                    unit_product((cu[n + t][a], e) for t, e in enumerate(kvec) if e))
             mono = key[:n] + self.zero_k if shifted else key
             entry = self.entries.get((mono, a))
             if entry is None:
@@ -393,10 +392,14 @@ class _RightTable:
 def nf_mul(left, right):
     """Product of two normal-form elements, again in normal form.
 
-    Each pair of terms multiplies as monomials.  When no letter of the
-    left monomial that comes after a letter g_a of the right one has a
-    tail against g_a, every crossing pair q-commutes, and the product is
-    one normal_scalar times the sum of the exponent keys; a pair already
+    Each pair of terms multiplies as monomials.  The support of each
+    term, its positions with a nonzero exponent, is found once per call,
+    and the letters that could cross a tail are read off the right
+    term's support.  When no letter of the left monomial that comes
+    after a letter g_a of the right one has a tail against g_a, every
+    crossing pair q-commutes, and the product is the sum of the exponent
+    keys times one scalar, normal_scalar over the two supports, which
+    shifts the coefficient's exponents (``times_unit``); a pair already
     in order is the case with no crossing pairs.  Otherwise the left
     monomial is multiplied on the right by the letters of the right one,
     lowest first, through a table of right products M * g_a (see
@@ -411,25 +414,27 @@ def nf_mul(left, right):
     if left.pres is not right.pres:
         left._check(right)
     pres = left.pres
-    n, tailed = pres.n, pres._tailed_after
-    table = _RightTable(pres)
-    rights = [
-        (k2, c2, {c for a in range(n) if k2[a] for c in tailed[a]},
-         next((j for j, e in enumerate(k2) if e), len(k2)))
-        for k2, c2 in right.terms.items()
-    ]
+    n, tailed, width = pres.n, pres._tailed_after, pres.n + pres.m
+    pairing, params = pres.commutation_unit, pres.params
+    rights = []
+    for k2, c2 in right.terms.items():
+        s2 = support(k2)
+        crossers = [c for a in s2 if a < n for c in tailed[a]]
+        rights.append((k2, c2, s2, crossers, s2[0] if s2 else width))
+    table = None
     out = {}
     for k1, c1 in left.terms.items():
-        last1 = max((i for i, e in enumerate(k1) if e), default=-1)
-        for k2, c2, crossers, first2 in rights:
+        s1 = support(k1)
+        last1 = s1[-1] if s1 else -1
+        for k2, c2, s2, crossers, first2 in rights:
             coef = c1 * c2
-            if not any(map(k1.__getitem__, crossers)):
+            if not crossers or not any(map(k1.__getitem__, crossers)):
                 if last1 > first2:  # a letter of k1 comes after one of k2
-                    scalar = normal_scalar(pres.commutation_unit, k1, k2, pres.params)
-                    if not scalar.is_one():
-                        coef = coef * scalar.as_poly()
-                _accumulate(out, tuple(x + y for x, y in zip(k1, k2)), coef)
+                    coef = coef.times_unit(normal_scalar(pairing, k1, k2, params, s1, s2))
+                _accumulate(out, tuple(map(add, k1, k2)), coef)
                 continue
+            if table is None:
+                table = _RightTable(pres)
             terms = {k1: coef}
             for a in _word(k2, n):
                 terms = table.times_letter(terms, a)
@@ -437,8 +442,8 @@ def nf_mul(left, right):
                 terms = _times_kblock(pres, terms, k2[n:])
             for key, c in terms.items():
                 _accumulate(out, key, c)
-    if len(table.entries) > _TABLE_CAP:
-        table.entries.clear()
+    if len(pres._rtable) > _TABLE_CAP:
+        pres._rtable.clear()
     return NFElement._make(pres, out)
 
 
@@ -450,10 +455,10 @@ def tau_apply(pres, i, element, power=1):
     (0-based), ``power`` times; negative powers are allowed."""
     if not 0 <= i < pres.n:
         raise QsolvError("tau index must name a polynomial generator")
+    power = _as_exponent(power)
     terms = {}
     for key, coef in element.terms.items():
-        weight = pres.key_weight(i, key).pow(power)
-        terms[key] = coef * weight.as_poly()
+        terms[key] = coef.times_unit(pres.key_weight(i, key).pow(power))
     return NFElement(pres, terms)
 
 
@@ -485,38 +490,52 @@ def skew_action(pres, i, kind, element):
 # -- Gaussian binomials and the twisted Leibniz rule ---------------------
 
 
-def q_binomial(n, i):
-    """Gaussian binomial coefficient as a polynomial in q.
+def _gaussian_coefficients(n, i):
+    """The Gaussian binomial [n choose i] as int coefficients of q^0, q^1, ...
 
-    Computed by the q-Pascal recursion, so no division is involved; the
-    classical binomial appears on substituting 1.
+    It is built as the entry itself, C(n, k) = C(n, k - 1) *
+    (1 - q^(n-k+1)) / (1 - q^k) for k up to min(i, n - i), each step one
+    exact division.
     """
-    n, i = int(n), int(i)
+    from . import densepoly
+
+    n, i = _as_exponent(n), _as_exponent(i)
     if i < 0 or i > n:
         raise ValueError("binomial index out of range")
-    one = LaurentPoly.one(("q",))
-    row = [one]
-    for level in range(1, n + 1):
-        new = [one]
-        for k in range(1, level):
-            new.append(row[k - 1] + LaurentPoly.monomial(("q",), (k,)) * row[k])
-        new.append(one)
-        row = new
-    return row[i]
+    coeffs = [1]
+    for k in range(1, min(i, n - i) + 1):
+        shift = [0] * (n - k + 1)
+        lifted = list(map(sub, coeffs + shift, shift + coeffs))
+        coeffs, _ = densepoly.divmod(lifted, [1] + [0] * (k - 1) + [-1])
+    return [int(c) for c in coeffs]
+
+
+def q_binomial(n, i):
+    """Gaussian binomial coefficient as a polynomial in q, with int
+    coefficients; the classical binomial appears on substituting 1."""
+    coeffs = _gaussian_coefficients(n, i)
+    return LaurentPoly._make(("q",), {(k,): c for k, c in enumerate(coeffs)})
 
 
 def q_integer(n):
     """1 + q + ... + q^(n-1) as a polynomial in q."""
-    return LaurentPoly(("q",), {(k,): 1 for k in range(int(n))})
+    return LaurentPoly(("q",), {(k,): 1 for k in range(_as_exponent(n))})
 
 
 def q_binomial_at_unit(n, i, unit):
-    """Gaussian binomial evaluated at a unit monomial scalar."""
-    uni = q_binomial(n, i)
-    total = LaurentPoly.zero(unit.params)
-    for exps, coef in uni.terms.items():
-        total = total + unit.pow(exps[0]).as_poly() * coef
-    return total
+    """Gaussian binomial evaluated at a unit monomial scalar, summed in
+    one pass: the power of the unit steps up by ``times_unit``."""
+    power = LaurentPoly.one(unit.params)
+    total = {}
+    for coef in _gaussian_coefficients(n, i):
+        (exps, sign), = power.terms.items()
+        coef = total.get(exps, 0) + sign * coef
+        if coef:
+            total[exps] = coef
+        else:
+            del total[exps]
+        power = power.times_unit(unit)
+    return LaurentPoly._make(power.params, total)
 
 
 def q_leibniz_expand(pres, i, npow, element):
@@ -525,7 +544,7 @@ def q_leibniz_expand(pres, i, npow, element):
     Returns sum_j C(npow, j)_{q_i} tau^(npow-j) delta^j (a) x_i^(npow-j),
     which agrees with nf_mul(x_i^npow, a) on well-formed presentations.
     """
-    npow = int(npow)
+    npow = _as_exponent(npow)
     if npow < 0:
         raise ValueError("power must be nonnegative")
     if not element.in_tail_subalgebra(i):

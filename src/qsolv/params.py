@@ -123,6 +123,25 @@ def _as_coef(value):
     raise TypeError(f"expected a rational value, got {value!r}")
 
 
+def _as_exponent(value):
+    """An integral value as an exponent: an int, never truncated."""
+    if isinstance(value, int):
+        return int(value)
+    if isinstance(value, Fraction) and value.denominator == 1:
+        return value.numerator
+    raise TypeError(f"expected an integer exponent, got {value!r}")
+
+
+_INT = frozenset((int,))
+
+
+def _as_exponents(exps):
+    """An exponent vector as a tuple of ints; see _as_exponent."""
+    if exps.__class__ is tuple and _INT.issuperset(map(type, exps)):
+        return exps
+    return tuple(map(_as_exponent, exps))
+
+
 def _quotient(a, b):
     """The exact quotient a / b of coefficients, never a float."""
     if a.__class__ is int and b.__class__ is int and not a % b:
@@ -185,7 +204,7 @@ class LaurentPoly(ExactValue):
             coef = _as_coef(coef)
             if not coef:
                 continue
-            exps = tuple(int(e) for e in exps)
+            exps = _as_exponents(exps)
             if len(exps) != width:
                 raise ValueError("exponent vector width does not match params")
             clean[exps] = coef
@@ -258,10 +277,8 @@ class LaurentPoly(ExactValue):
         if len(self.terms) != 1:
             return None
         exps, coef = next(iter(self.terms.items()))
-        if coef == 1:
-            return UnitMonomial(self.params, 1, exps)
-        if coef == -1:
-            return UnitMonomial(self.params, -1, exps)
+        if coef == 1 or coef == -1:
+            return UnitMonomial._make(self.params, int(coef), exps)
         return None
 
     def min_exponents(self):
@@ -323,18 +340,7 @@ class LaurentPoly(ExactValue):
         if len(small.terms) > len(big.terms):
             small, big = big, small
         if len(small.terms) == 1:
-            # a monomial factor shifts the exponents and scales
-            (shift, scale), = small.terms.items()
-            if not any(shift):
-                if scale == 1:
-                    return big
-                if scale == -1:
-                    return -big
-                terms = {e: c * scale for e, c in big.terms.items()}
-            else:
-                terms = {tuple(map(_add, e, shift)): c * scale
-                         for e, c in big.terms.items()}
-            return LaurentPoly._make(self.params, terms)
+            return big._shifted(*next(iter(small.terms.items())))
         terms = {}
         get = terms.get
         for e1, c1 in small.terms.items():
@@ -347,8 +353,30 @@ class LaurentPoly(ExactValue):
 
     __rmul__ = __mul__
 
+    def _shifted(self, shift, scale):
+        """self times the monomial scale * X^shift: the exponents move and
+        the coefficients scale, so no product of terms is formed."""
+        if not any(shift):
+            if scale == 1:
+                return self
+            if scale == -1:
+                return -self
+            terms = {e: c * scale for e, c in self.terms.items()}
+        elif scale == 1:
+            terms = {tuple(map(_add, e, shift)): c for e, c in self.terms.items()}
+        else:
+            terms = {tuple(map(_add, e, shift)): c * scale for e, c in self.terms.items()}
+        return LaurentPoly._make(self.params, terms)
+
+    def times_unit(self, unit):
+        """self * unit.as_poly(), with the same terms: the unit's exponent
+        vector shifts every term and its sign scales it."""
+        if unit.params is not self.params:
+            self._check(unit)
+        return self._shifted(unit.exps, unit.sign)
+
     def __pow__(self, n):
-        n = int(n)
+        n = _as_exponent(n)
         if n < 0:
             unit = self.as_unit_monomial()
             if unit is None:
@@ -382,7 +410,7 @@ class LaurentPoly(ExactValue):
         ratio = _as_coef(ratio)
         if not ratio:
             raise ZeroDivisionError("zero content")
-        exps = tuple(int(e) for e in exps)
+        exps = _as_exponents(exps)
         if len(exps) != len(self.params):
             raise ValueError("exponent vector width does not match params")
         return LaurentPoly._make(
@@ -510,11 +538,22 @@ class UnitMonomial(FrozenRecord):
     def __init__(self, params, sign, exps):
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
+        exps = _as_exponents(exps)
         if len(exps) != len(params):
             raise ValueError("exponent vector width does not match params")
         _set_field(self, "params", params)
         _set_field(self, "sign", sign)
         _set_field(self, "exps", exps)
+
+    @classmethod
+    def _make(cls, params, sign, exps):
+        """Trusted constructor: sign +-1 and exps an int tuple as wide as
+        params.  It checks none of that."""
+        self = object.__new__(cls)
+        _set_field(self, "params", params)
+        _set_field(self, "sign", sign)
+        _set_field(self, "exps", exps)
+        return self
 
     # units are compared and hashed often, so these skip _values
     def __eq__(self, other):
@@ -529,7 +568,7 @@ class UnitMonomial(FrozenRecord):
     @classmethod
     def one(cls, params):
         params = tuple(params)
-        return cls(params, 1, (0,) * len(params))
+        return cls._make(params, 1, (0,) * len(params))
 
     @classmethod
     def var(cls, params, name, power=1, sign=1):
@@ -546,15 +585,15 @@ class UnitMonomial(FrozenRecord):
             return NotImplemented
         if self.params != other.params:
             raise ValueError("parameter tuples differ")
-        return UnitMonomial(
+        return UnitMonomial._make(
             self.params,
             self.sign * other.sign,
-            tuple(a + b for a, b in zip(self.exps, other.exps)),
+            tuple(map(_add, self.exps, other.exps)),
         )
 
     def pow(self, n):
-        n = int(n)
-        return UnitMonomial(
+        n = _as_exponent(n)
+        return UnitMonomial._make(
             self.params,
             self.sign if n % 2 else 1,
             tuple(e * n for e in self.exps),
@@ -562,7 +601,7 @@ class UnitMonomial(FrozenRecord):
 
     def inverse(self):
         # a sign +-1 is its own inverse
-        return UnitMonomial(self.params, self.sign, tuple(-e for e in self.exps))
+        return UnitMonomial._make(self.params, self.sign, tuple(-e for e in self.exps))
 
     def as_poly(self):
         return LaurentPoly._make(self.params, {self.exps: self.sign})
@@ -581,7 +620,7 @@ class UnitMonomial(FrozenRecord):
         return other - self.as_poly()
 
     def __neg__(self):
-        return UnitMonomial(self.params, -self.sign, self.exps)
+        return UnitMonomial._make(self.params, -self.sign, self.exps)
 
     def __str__(self):
         return term_text(str(self.sign), monomial_text(self.params, self.exps))
@@ -595,8 +634,9 @@ def unit_product(factors, params=None):
 
     The exponent vectors are summed with those multiplicities and the
     signs of odd powers of negative units multiplied, so no intermediate
-    unit is built.  An empty factor list needs the params argument for
-    context, since there is nothing to read the parameter tuple from.
+    unit is built; a lone unit to the first power is returned as it is.
+    An empty factor list needs the params argument for context, since
+    there is nothing to read the parameter tuple from.
     """
     first, sign, cols = None, 1, []
     for unit, power in factors:
@@ -612,22 +652,29 @@ def unit_product(factors, params=None):
         if params is None:
             raise ValueError("empty factor list has no parameter context")
         return UnitMonomial.one(params)
-    return UnitMonomial(first, sign, tuple(map(sum, zip(*cols))))
+    if len(cols) == 1 and power == 1:
+        return unit
+    return UnitMonomial._make(first, sign, tuple(map(sum, zip(*cols))))
 
 
-def normal_scalar(pairing, a, b, params):
+def support(key):
+    """The positions of a key's nonzero entries, in ascending order."""
+    return [i for i, e in enumerate(key) if e]
+
+
+def normal_scalar(pairing, a, b, params, support_a, support_b):
     """sigma(a, b) with Y^a * Y^b = sigma(a, b) * Y^(a+b), where the
     generators satisfy Y_i Y_j = pairing(i, j) Y_j Y_i.
 
     Reordering the concatenation into ascending index order swaps each
     pair (i from a) > (j from b) once, contributing
-    pairing(i, j)^(a_i*b_j).
+    pairing(i, j)^(a_i*b_j).  A pair with a_i or b_j zero contributes
+    nothing, so i and j run over the supports of a and b (``support``),
+    which the caller passes in.
     """
-    width = len(a)
     return unit_product(
-        ((pairing(i, j), a[i] * bj)
-         for j, bj in enumerate(b) if bj
-         for i in range(j + 1, width) if a[i]),
+        ((pairing(i, j), a[i] * b[j])
+         for j in support_b for i in support_a if i > j),
         params,
     )
 
@@ -737,6 +784,18 @@ class FracElem(ExactValue):
         return FracElem(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
+
+    def times_unit(self, unit):
+        """self * unit with the denominator kept: a unit changes neither
+        the denominator's content nor whether it divides the numerator,
+        so the constructor's reductions are skipped."""
+        num = self.num.times_unit(unit)
+        if num is self.num:
+            return self
+        out = object.__new__(FracElem)
+        _set_field(out, "num", num)
+        _set_field(out, "den", self.den)
+        return out
 
     def __truediv__(self, other):
         other = self._coerce(other)

@@ -22,6 +22,7 @@ from .params import (
     FrozenRecord,
     LaurentPoly,
     UnitMonomial,
+    _as_exponent,
     _set_field,
     gamma_torsionfree,
     unit_product,
@@ -212,7 +213,7 @@ class Presentation(Frozen):
             raise PresentationError(
                 f"generator position {pos} is outside 0..{len(self.gens) - 1}"
             )
-        power = int(power)
+        power = _as_exponent(power)
         if power < 0 and pos < self.n:
             raise PresentationError(
                 f"{self.gens[pos]} is a polynomial generator; negative powers need localization"
@@ -459,7 +460,7 @@ def quantum_affine(n, exponents=None):
                 raise FamilyError("exponent matrix must be antisymmetric")
     params = ("q",)
     qmat = {
-        (i, j): UnitMonomial(params, 1, (exponents[i][j],))
+        (i, j): UnitMonomial._make(params, 1, (exponents[i][j],))
         for i in range(n) for j in range(i + 1, n)
         if exponents[i][j]
     }
@@ -476,7 +477,8 @@ def quantum_matrices(n):
 
     Every scalar is built from integer exponent vectors: tau_(t,i) acts
     on a_sj by h^-1 q_ts * h^(+-1) q_ji, and the scalar of a relation is
-    the weight of its first generator on the second one.
+    the weight of its first generator on the second one.  The vectors are
+    ints by construction, so the units go through UnitMonomial._make.
     """
     n = int(n)
     if not 1 <= n <= 9:
@@ -500,7 +502,7 @@ def quantum_matrices(n):
     rows = {(t, s): hq(-1, t, s) for t in idx for s in idx}
     cols = {(i, j): hq(1 if i < j else -1, j, i) for i in idx for j in idx}
     hweights = [
-        [UnitMonomial(params, 1, tuple(map(add, rows[t, s], cols[i, j])))
+        [UnitMonomial._make(params, 1, tuple(map(add, rows[t, s], cols[i, j])))
          for s, j in cells]
         for t, i in cells
     ]
@@ -517,7 +519,7 @@ def quantum_matrices(n):
                 key[(t - 1) * n + j - 1] = key[(s - 1) * n + i - 1] = 1
                 tails[a, b] = {tuple(key): LaurentPoly._make(
                     params, {q[j, i]: 1, hq(2, s, t): -1})}
-    one, c = UnitMonomial(params, 1, zero), UnitMonomial(params, 1, hq(2, 1, 1))
+    one, c = UnitMonomial._make(params, 1, zero), UnitMonomial._make(params, 1, hq(2, 1, 1))
     return Presentation(
         f"quantum_matrices{n}", params, tuple(f"a{t}{i}" for t, i in cells), total,
         qmat=qmat, tails=tails, hweights=hweights,
@@ -568,7 +570,7 @@ def quantum_weyl(n):
         ("x", "x"): lambda i, j: (0,) + r[j, i],
     }
     cells = [("y", i) for i in idx] + [("x", i) for i in reversed(idx)]
-    hweights = [[UnitMonomial(params, 1, rules[s, t](i, j)) for t, j in cells]
+    hweights = [[UnitMonomial._make(params, 1, rules[s, t](i, j)) for t, j in cells]
                 for s, i in cells]
     total = 2 * n
     qmat = {(a, b): hweights[a][b] for a in range(total) for b in range(a + 1, total)}
@@ -586,7 +588,7 @@ def quantum_weyl(n):
     return Presentation(
         name, params, gens, total,
         qmat=qmat, tails=tails, hweights=hweights,
-        qskew=[UnitMonomial(params, 1, (-int(s == "y"),) + rest) for s, _ in cells],
+        qskew=[UnitMonomial._make(params, 1, (-int(s == "y"),) + rest) for s, _ in cells],
     )
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from . import intlinalg
 from .errors import LatticeError
-from .params import Frozen, UnitMonomial, _set_field, normal_scalar
+from .params import Frozen, UnitMonomial, _set_field, normal_scalar, support
 
 
 class TorusPresentation(Frozen):
@@ -66,7 +66,7 @@ def torus_normal_scalar(P, a, b):
     a, b = tuple(a), tuple(b)
     if len(a) != P.rank or len(b) != P.rank:
         raise ValueError("exponent vector width does not match rank")
-    return normal_scalar(P.pairing, a, b, P.params)
+    return normal_scalar(P.pairing, a, b, P.params, support(a), support(b))
 
 
 def commutation_factor(P, a, b):

@@ -7,6 +7,7 @@ import pytest
 
 from qsolv import (
     LaurentPoly,
+    NFElement,
     Presentation,
     PresentationError,
     RewriteBudgetError,
@@ -191,3 +192,48 @@ def test_scalar_coefficient_types(plane):
     assert x.scale(Fraction(1, 2)) + x.scale(Fraction(1, 2)) == x
     u = UnitMonomial.var(plane.params, "q", 2)
     assert x.scale(u) == x.scale(LaurentPoly.var(plane.params, "q", 2))
+
+
+NOT_INTEGERS = [Fraction(5, 2), 1.5, 2.9, 2.0]
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+def test_element_keys_must_be_integers(weyl, value):
+    # NFElement(weyl, {(1.5, 0): 1}) used to give y
+    with pytest.raises(TypeError, match="expected an integer exponent"):
+        NFElement(weyl, {(value, 0): 1})
+    with pytest.raises(TypeError, match="expected an integer exponent"):
+        weyl.monomial((0, value))
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+def test_generator_powers_must_be_integers(weyl, value):
+    # weyl.gen_power(1, 2.9) used to be x^2
+    with pytest.raises(TypeError, match="expected an integer exponent"):
+        weyl.gen_power(1, value)
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+def test_binomial_arguments_must_be_integers(value):
+    u = UnitMonomial.var(("c",), "c", -1)
+    with pytest.raises(TypeError, match="expected an integer exponent"):
+        q_binomial(value, 1)
+    with pytest.raises(TypeError, match="expected an integer exponent"):
+        q_binomial(5, value)
+    with pytest.raises(TypeError, match="expected an integer exponent"):
+        q_binomial_at_unit(value, 1, u)
+    with pytest.raises(TypeError, match="expected an integer exponent"):
+        q_integer(value)
+    assert q_binomial(Fraction(8, 2), 2) == q_binomial(4, 2)
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+def test_skew_powers_must_be_integers(weyl, value):
+    # q_leibniz_expand and tau_apply used to truncate their power
+    x = weyl.gen(1)
+    with pytest.raises(TypeError, match="expected an integer exponent"):
+        q_leibniz_expand(weyl, 0, value, x)
+    with pytest.raises(TypeError, match="expected an integer exponent"):
+        tau_apply(weyl, 0, x, value)
+    with pytest.raises(TypeError, match="expected an integer exponent"):
+        tau_apply(weyl, 0, weyl.zero(), value)

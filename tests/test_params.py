@@ -252,3 +252,38 @@ def test_weyl_product_builds_no_fraction(monkeypatch):
     monkeypatch.undo()
     assert len(product.terms) == 9
     assert len(built) == 0
+
+
+NOT_INTEGERS = [Fraction(1, 2), 2.5, 0.5, 2.0, "2"]
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+def test_laurent_exponents_must_be_integers(value):
+    # an exponent q^(1/2) used to be stored as q^0 and print as 1
+    with pytest.raises(TypeError, match="expected an integer exponent"):
+        LaurentPoly(P, {(value,): 1})
+    with pytest.raises(TypeError, match="expected an integer exponent"):
+        LaurentPoly.monomial(P2, (1, value))
+    assert LaurentPoly(P, {(Fraction(4, 2),): 1}) == q() ** 2
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+def test_laurent_powers_must_be_integers(value):
+    # q ** 2.5 used to give q^2
+    with pytest.raises(TypeError, match="expected an integer exponent"):
+        q() ** value
+    with pytest.raises(TypeError, match="expected an integer exponent"):
+        LaurentPoly.var(P, "q", value)
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+def test_unit_exponents_and_powers_must_be_integers(value):
+    # UnitMonomial(P, 1, (0.5,)) used to keep the float and print q^0.5
+    with pytest.raises(TypeError, match="expected an integer exponent"):
+        UnitMonomial(P, 1, (value,))
+    with pytest.raises(TypeError, match="expected an integer exponent"):
+        UnitMonomial.var(P2, "r", value)
+    with pytest.raises(TypeError, match="expected an integer exponent"):
+        UnitMonomial.var(P, "q").pow(value)
+    unit = UnitMonomial(P2, -1, [Fraction(3, 1), True])
+    assert unit.exps == (3, 1) and type(unit.exps[0]) is int
