@@ -11,11 +11,10 @@ pieces, with denominators built from differences of the eigenvalues.
 
 from __future__ import annotations
 
-from . import densepoly
 from .errors import AdRootError, LocalizationError, RepeatedRootError
 from .normalform import NFElement, nf_mul
 from .params import (
-    FracElem, Frozen, LaurentPoly, _set_field, unit_product,
+    FracElem, Frozen, LaurentPoly, _as_exponent, _set_field, unit_product,
 )
 
 
@@ -104,14 +103,27 @@ class LocElement(Frozen):
         return LocElement(self.pres, self.xidx, -self.num, self.dpow)
 
     def scale(self, value):
-        """Multiply by a central scalar.  A nonzero one keeps every
-        numerator key, so the product is as reduced as self: it is built
-        at power 0, which tests no division, and then given self's."""
-        num = self.num.scale(value)
+        """Multiply by a central scalar."""
+        return self._renumbered(self.num.scale(value))
+
+    def _renumbered(self, num):
+        """num over self's power of x, for num zero or with self's keys.
+        It is then as reduced as self: it is built at power 0, which
+        tests no division, and then given self's."""
         out = LocElement(self.pres, self.xidx, num)
         if num:
             _set_field(out, "dpow", self.dpow)
         return out
+
+    def _over(self, den):
+        """self divided by a nonzero coefficient den.  LaurentPoly
+        coefficients share one reduction by den; a fraction coefficient
+        is multiplied by FracElem(1, den)."""
+        terms = self.num.terms
+        if not all(isinstance(c, LaurentPoly) for c in terms.values()):
+            return self.scale(FracElem(LaurentPoly.one(den.params), den))
+        fracs = FracElem._all_over(terms.values(), den)
+        return self._renumbered(NFElement._make(self.pres, dict(zip(terms, fracs))))
 
     def __eq__(self, other):
         if not isinstance(other, LocElement):
@@ -207,11 +219,26 @@ def ad_minimal_polynomial(p, xidx, a, degree_cap=16):
     has the minimal degree.  Tails that break WF placement can stop the
     fall, which raises AdRootError.
     """
-    return _peel(p, xidx, a, degree_cap)[0]
+    a, roots, mults, _ = _peel(p, xidx, a, degree_cap)
+    return AdSpectrum(p, xidx, a, _minimal_polynomial(p, roots, mults), roots, mults)
+
+
+def _minimal_polynomial(p, roots, mults):
+    """prod (t - w)^m over the roots w with multiplicities m, from degree
+    zero upward.  Each factor shifts the list up one degree and adds the
+    list times the unit -w, an exponent shift of each entry."""
+    poly = [LaurentPoly.one(p.params)]
+    for root, mult in zip(roots, mults):
+        neg = -root
+        for _ in range(mult):
+            low = [c.times_unit(neg) for c in poly]
+            poly = [low[0], *map(LaurentPoly.__add__, poly, low[1:]), poly[-1]]
+    return poly
 
 
 def _peel(p, xidx, a, degree_cap, simple=False):
-    """The spectrum of ad_minimal_polynomial and the peel's steps.
+    """The peel of ad_minimal_polynomial: the element, its roots, their
+    multiplicities and the steps.
 
     Step k is (w_k, num_k, num_k * x): the weight taken, the numerator
     of b_k over x^(a.dpow + k), and its lift, so that b_(k+1) has the
@@ -219,6 +246,9 @@ def _peel(p, xidx, a, degree_cap, simple=False):
     root raises RepeatedRootError.
     """
     _check_site(p, xidx)
+    degree_cap = _as_exponent(degree_cap)
+    if degree_cap < 0:
+        raise ValueError("degree_cap must be nonnegative")
     a = loc_element(p, xidx, a)
     if a.is_zero():
         raise AdRootError("the zero element has no minimal polynomial")
@@ -257,17 +287,10 @@ def _peel(p, xidx, a, degree_cap, simple=False):
         for root in roots:
             if counts[root] > 1:
                 raise RepeatedRootError(root)
-    one = LaurentPoly.one(p.params)
-    minpoly = [one]
-    for root in roots:
-        factor = [-root.as_poly(), one]
-        for _ in range(counts[root]):
-            minpoly = densepoly.mul(minpoly, factor)
-    spec = AdSpectrum(p, xidx, a, minpoly, roots, [counts[r] for r in roots])
-    return spec, steps
+    return a, roots, [counts[r] for r in roots], steps
 
 
-def _components(p, xidx, spec, steps, roots):
+def _components(p, xidx, a, steps, roots):
     """The eigencomponents of the given roots, from the Newton form in
     ad_eigencomponents.
 
@@ -278,7 +301,7 @@ def _components(p, xidx, spec, steps, roots):
     over k >= r by Horner's rule, one difference per step, and divides
     once by prod_(j != r) (w_r - w_j).
     """
-    a, d = spec.element, len(steps)
+    d = len(steps)
     if d == 1:
         return [a] * len(roots)
     order = [weight for weight, _, _ in steps]
@@ -297,7 +320,7 @@ def _components(p, xidx, spec, steps, roots):
                 den = den * diff
                 if j > r:
                     num = num.scale(diff) + lifts[j]
-        out.append(LocElement(p, xidx, num, a.dpow + d - 1).scale(FracElem(one, den)))
+        out.append(LocElement(p, xidx, num, a.dpow + d - 1)._over(den))
     return out
 
 
@@ -318,23 +341,23 @@ def ad_eigencomponents(p, xidx, a, degree_cap=16):
     polynomial's LaurentPoly coefficients; only the one division per
     component makes fractions.
     """
-    spec, steps = _peel(p, xidx, a, degree_cap, simple=True)
-    return AdSpectrum(p, xidx, spec.element, spec.minpoly, spec.roots,
-                      spec.multiplicities, _components(p, xidx, spec, steps, spec.roots))
+    a, roots, mults, steps = _peel(p, xidx, a, degree_cap, simple=True)
+    return AdSpectrum(p, xidx, a, _minimal_polynomial(p, roots, mults), roots, mults,
+                      _components(p, xidx, a, steps, roots))
 
 
 def replacement_generator(p, xidx, gidx, degree_cap=16):
     """The eigencomponent of generator gidx whose eigenvalue is the bare
     commutation scalar with the localized generator; it q-commutes with
     that generator and can replace the original one.  Only that
-    component is built."""
-    spec, steps = _peel(p, xidx, p.gen(gidx), degree_cap, simple=True)
+    component is built, and no minimal polynomial."""
+    a, roots, _, steps = _peel(p, xidx, p.gen(gidx), degree_cap, simple=True)
     target = p.commutation_unit(xidx, gidx)
-    if target not in spec.roots:
+    if target not in roots:
         raise AdRootError(
             f"no component with eigenvalue {target}; cannot rebuild {p.gens[gidx]}"
         )
-    return _components(p, xidx, spec, steps, [target])[0]
+    return _components(p, xidx, a, steps, [target])[0]
 
 
 def difference_set(roots):

@@ -3,9 +3,10 @@
 Entry k is the coefficient of t^k; a trimmed list ends in a nonzero entry
 and the zero polynomial is the empty list.  Coefficients are ``Fraction``,
 ``LaurentPoly`` or ``FracElem``; integers are read as ``Fraction``, so that
-division stays exact, and ``divmod`` needs field values.  The adjoint's
-minimal polynomials have ``LaurentPoly`` coefficients; only its
-eigencomponents' coefficients are fractions.
+division stays exact, and ``divmod`` needs field values.  Cyclotomic
+arithmetic in ``special`` and the rational roots in ``strat`` use it; the
+adjoint and the Gaussian binomials, whose factors are t - unit and
+1 - q^k, build their polynomials without it.
 """
 
 from fractions import Fraction

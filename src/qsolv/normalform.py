@@ -156,9 +156,17 @@ class NFElement(Frozen):
         return self + (-other)
 
     def scale(self, value):
-        """Multiply every coefficient by a central scalar."""
+        """Multiply every coefficient by a central scalar.  The
+        coefficient ring is a domain, so a nonzero scalar keeps every
+        key, and a unit one is an exponent shift of each coefficient."""
+        if isinstance(value, UnitMonomial):
+            return NFElement._make(
+                self.pres, {k: c.times_unit(value) for k, c in self.terms.items()}
+            )
         value = _coerce_coef(self.pres, value)
-        return NFElement(
+        if not value:
+            return NFElement._make(self.pres, {})
+        return NFElement._make(
             self.pres, {k: c * value for k, c in self.terms.items()}
         )
 
@@ -495,19 +503,19 @@ def _gaussian_coefficients(n, i):
 
     It is built as the entry itself, C(n, k) = C(n, k - 1) *
     (1 - q^(n-k+1)) / (1 - q^k) for k up to min(i, n - i), each step one
-    exact division.
+    exact division.  The quotient Q of P by 1 - q^k has Q[j] = P[j] +
+    Q[j - k], so the division stays in the integers.
     """
-    from . import densepoly
-
     n, i = _as_exponent(n), _as_exponent(i)
     if i < 0 or i > n:
         raise ValueError("binomial index out of range")
     coeffs = [1]
     for k in range(1, min(i, n - i) + 1):
         shift = [0] * (n - k + 1)
-        lifted = list(map(sub, coeffs + shift, shift + coeffs))
-        coeffs, _ = densepoly.divmod(lifted, [1] + [0] * (k - 1) + [-1])
-    return [int(c) for c in coeffs]
+        coeffs = list(map(sub, coeffs + shift, shift + coeffs))[:-k]
+        for j in range(k, len(coeffs)):
+            coeffs[j] += coeffs[j - k]
+    return coeffs
 
 
 def q_binomial(n, i):

@@ -736,16 +736,25 @@ class FracElem(ExactValue):
         if num.is_zero():
             den = LaurentPoly.one(num.params)
         elif not den.is_one():
-            ratio, exps = den.content()
-            den = den.divide_content(ratio, exps)
-            num = num.divide_content(ratio, exps)
-            if not den.is_one():
-                quot = num.try_div(den)
-                if quot is not None:
-                    num = quot
-                    den = LaurentPoly.one(num.params)
+            (num, den), = _reduced((num,), den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _make(cls, num, den):
+        """Trusted constructor for a pair already as the checking one
+        leaves it: den primitive, or one, and not dividing a nonzero num.
+        It checks none of that."""
+        self = object.__new__(cls)
+        _set_field(self, "num", num)
+        _set_field(self, "den", den)
+        return self
+
+    @classmethod
+    def _all_over(cls, nums, den):
+        """[FracElem(num, den) for num in nums] for LaurentPoly nums over
+        den's params, with the nonzero den's content taken once."""
+        return [cls._make(num, d) for num, d in _reduced(nums, den)]
 
     @property
     def params(self):
@@ -792,10 +801,7 @@ class FracElem(ExactValue):
         num = self.num.times_unit(unit)
         if num is self.num:
             return self
-        out = object.__new__(FracElem)
-        _set_field(out, "num", num)
-        _set_field(out, "den", self.den)
-        return out
+        return FracElem._make(num, self.den)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -832,6 +838,22 @@ class FracElem(ExactValue):
 
     def __repr__(self):
         return f"FracElem({self})"
+
+
+def _reduced(nums, den):
+    """The (num, den) pair FracElem keeps for each num over den, a
+    nonzero LaurentPoly: den made primitive, num divided by den's content,
+    and the pair (num / den, 1) when den divides num.  The content is
+    taken once for all nums."""
+    ratio, exps = den.content()
+    den = den.divide_content(ratio, exps)
+    one = LaurentPoly.one(den.params)
+    pairs = []
+    for num in nums:
+        num = num.divide_content(ratio, exps)
+        quot = None if den.is_one() else num.try_div(den)
+        pairs.append((num, den) if quot is None else (quot, one))
+    return pairs
 
 
 def as_field_element(value, params):

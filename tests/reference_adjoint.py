@@ -17,11 +17,19 @@ sums the peel's own vectors in the Newton form of each projector.
 reference_eigencomponents keeps the old loop, and reads the minimal
 polynomial through the adjoint module, so a test can swap in the
 elimination above.
+
+The library used to multiply the factors t - w of the minimal polynomial
+with densepoly.mul, and to divide each component by scaling it with
+FracElem(1, den), three checked FracElem constructions per coefficient.
+It now shifts exponents by the units -w, and takes den's content once
+per component.  reference_spectrum keeps both old constructions on the
+library's own peel, so the two must agree term for term, coefficient
+types included.
 """
 
 from qsolv import (
-    AdRootError, FracElem, LaurentPoly, LocElement, RepeatedRootError, UnitMonomial,
-    ad_apply, adjoint, densepoly, loc_element, nf_mul,
+    AdRootError, FracElem, LaurentPoly, LocElement, NFElement, RepeatedRootError,
+    UnitMonomial, ad_apply, adjoint, densepoly, loc_element, nf_mul,
 )
 from qsolv.adjoint import AdSpectrum, _conjugation_weight
 from qsolv.params import as_field_element
@@ -135,3 +143,57 @@ def reference_eigencomponents(p, xidx, a, degree_cap=16):
         components.append(comp.scale(FracElem(one, den)))
     return AdSpectrum(p, xidx, a, spec.minpoly, spec.roots,
                       spec.multiplicities, components)
+
+
+def reference_minpoly(params, roots, mults):
+    """prod (t - w)^m by dense products of LaurentPoly lists."""
+    one = LaurentPoly.one(params)
+    minpoly = [one]
+    for root, mult in zip(roots, mults):
+        factor = [-root.as_poly(), one]
+        for _ in range(mult):
+            minpoly = densepoly.mul(minpoly, factor)
+    return minpoly
+
+
+def reference_divided(comp, den):
+    """comp with every coefficient multiplied by FracElem(1, den) in the
+    fraction field."""
+    value = FracElem(LaurentPoly.one(den.params), den)
+    num = NFElement(comp.pres, {k: c * value for k, c in comp.num.terms.items()})
+    return LocElement(comp.pres, comp.xidx, num, comp.dpow)
+
+
+def reference_components(p, xidx, a, steps, roots):
+    """The Newton-form components of the peel's steps, each divided by
+    reference_divided."""
+    d = len(steps)
+    if d == 1:
+        return [a] * len(roots)
+    order = [weight for weight, _, _ in steps]
+    w = [weight.as_poly() for weight in order]
+    lifts = {d - 2: steps[-2][2], d - 1: steps[-1][1]}
+    for k in range(min(map(order.index, roots)), d - 2):
+        lifts[k] = nf_mul(steps[k][2], p.gen_power(xidx, d - 2 - k))
+    one = LaurentPoly.one(p.params)
+    out = []
+    for root in roots:
+        r = order.index(root)
+        num, den = lifts[r], one
+        for j, wj in enumerate(w):
+            if j != r:
+                diff = w[r] - wj
+                den = den * diff
+                if j > r:
+                    num = num.scale(diff) + lifts[j]
+        out.append(reference_divided(LocElement(p, xidx, num, a.dpow + d - 1), den))
+    return out
+
+
+def reference_spectrum(p, xidx, a, degree_cap=16, components=True):
+    """The library's peel, its minimal polynomial from reference_minpoly
+    and, when asked for, its components from reference_components."""
+    a, roots, mults, steps = adjoint._peel(p, xidx, a, degree_cap, simple=components)
+    comps = reference_components(p, xidx, a, steps, roots) if components else ()
+    return AdSpectrum(p, xidx, a, reference_minpoly(p.params, roots, mults), roots,
+                      mults, comps)

@@ -1,8 +1,10 @@
 """Conjugation operators on localized elements and their spectra."""
 
+from fractions import Fraction
+
 import pytest
 
-from qsolv import adjoint
+from qsolv import adjoint, densepoly
 from qsolv import (
     AdRootError,
     FracElem,
@@ -122,6 +124,24 @@ def test_weyl_eigencomponents(weyl):
         assert ad_apply(weyl, 0, comp) == comp.scale(root)
 
 
+def test_eigencomponents_of_fraction_coefficients(weyl):
+    # the components of x sum to an element with fraction coefficients,
+    # and adding x gives one with mixed ones; each is divided in the
+    # fraction field, as every element was before the shared reduction
+    comp1, comp2 = ad_eigencomponents(weyl, 0, weyl.gen(1)).components
+    printed = []
+    for a in (comp1 + comp2, comp2 + loc_element(weyl, 0, weyl.gen(1))):
+        spec = ad_eigencomponents(weyl, 0, a)
+        printed.append([(str(root), comp.dpow, str(comp))
+                        for root, comp in zip(spec.roots, spec.components)])
+    assert printed == [
+        [("1", 1, "(c/(c - 1))*y^-1"),
+         ("c^-1", 2, "((-c^3/(c - 1))*y + c^2*y^2*x)*y^-2")],
+        [("1", 1, "(c/(c - 1))*y^-1"),
+         ("c^-1", 2, "((-2*c^3/(c - 1))*y + 2*c^2*y^2*x)*y^-2")],
+    ]
+
+
 def test_eigencomponent_denominators_factor(weyl):
     spec = ad_eigencomponents(weyl, 0, weyl.gen(1))
     diffs = difference_set(spec.roots)
@@ -184,6 +204,49 @@ def test_jordan_block_detected():
 def test_degree_cap(weyl):
     with pytest.raises(AdRootError):
         ad_minimal_polynomial(weyl, 0, weyl.gen(1), degree_cap=1)
+
+
+CAPPED = [
+    lambda p, cap: ad_minimal_polynomial(p, 0, p.gen(1), degree_cap=cap),
+    lambda p, cap: ad_eigencomponents(p, 0, p.gen(1), degree_cap=cap),
+    lambda p, cap: replacement_generator(p, 0, 1, degree_cap=cap),
+]
+
+
+@pytest.mark.parametrize("call", CAPPED, ids=["minpoly", "eigencomponents", "replacement"])
+def test_degree_cap_is_a_nonnegative_integer(weyl, call):
+    # a cap of -1 used to report no dependence within -1 steps, and 2.5
+    # a bare TypeError from range
+    with pytest.raises(ValueError, match="^degree_cap must be nonnegative$"):
+        call(weyl, -1)
+    with pytest.raises(TypeError, match="expected an integer exponent, got 2.5"):
+        call(weyl, 2.5)
+    assert repr(call(weyl, Fraction(4, 2))) == repr(call(weyl, 2))
+
+
+def counting(monkeypatch, calls, owner, name):
+    """Record owner.name's calls in calls, by name, from now on."""
+    original = getattr(owner, name)
+    monkeypatch.setattr(owner, name,
+                        lambda *args: calls.append(name) or original(*args))
+
+
+def test_replacement_generator_builds_no_minimal_polynomial(weyl, monkeypatch):
+    built = []
+    counting(monkeypatch, built, adjoint, "_minimal_polynomial")
+    counting(monkeypatch, built, densepoly, "mul")
+    replacement_generator(weyl, 0, 1)
+    assert built == []
+    ad_eigencomponents(weyl, 0, weyl.gen(1))
+    assert built == ["_minimal_polynomial"]
+
+
+def test_each_component_takes_its_denominator_content_once(weyl, monkeypatch):
+    calls = []
+    counting(monkeypatch, calls, LaurentPoly, "content")
+    spec = ad_eigencomponents(weyl, 0, weyl.gen_power(1, 5))
+    assert len(spec.components) == 6
+    assert len(calls) == 6
 
 
 def test_tail_that_breaks_placement_is_named():

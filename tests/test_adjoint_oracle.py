@@ -15,14 +15,21 @@ presentations whose one or two tails use no letter at or before their
 pair's first generator.  At degree three, where the elimination is too
 slow to serve, the minimal polynomial is checked without an oracle: it
 annihilates the element, and no factor of it with one linear factor
-dropped does.
+dropped does.  The minimal polynomial by exponent shifts and each
+component's one division must also match the old dense products and
+fraction-field scaling term for term, with the same coefficient types.
+Where a component's denominator is a monomial, as for the roots 1 and -1
+of x*y = -y*x, the old scaling left integral Fraction values in LaurentPoly
+coefficients; the library stores them as int, as LaurentPoly keeps them.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from qsolv import (
+    FracElem,
     LaurentPoly,
     LocElement,
     Presentation,
@@ -38,7 +45,9 @@ from qsolv import (
     quantum_matrices,
     quantum_weyl,
 )
-from reference_adjoint import reference_eigencomponents, reference_minimal_polynomial
+from reference_adjoint import (
+    reference_eigencomponents, reference_minimal_polynomial, reference_spectrum,
+)
 from test_mul_table import plane_torus
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -211,6 +220,109 @@ def test_weight_roots_match_the_reference_pool_on_drawn_presentations(p, seed):
     with pytest.MonkeyPatch.context() as monkeypatch:
         assert_matches_reference(p, rng.randrange(p.n), random_element(p, rng),
                                  monkeypatch)
+
+
+def coefficient_form(coef, reference=False):
+    """A coefficient's terms with the type of each, and a fraction's as
+    the pair of its numerator's and denominator's.  A library value must
+    be an int when integral; a reference one is read as one."""
+    if isinstance(coef, FracElem):
+        return (FracElem, coefficient_form(coef.num, reference),
+                coefficient_form(coef.den, reference))
+    out = {}
+    for key, c in coef.terms.items():
+        if reference and isinstance(c, Fraction) and c.denominator == 1:
+            c = c.numerator
+        assert type(c) is (int if c.denominator == 1 else Fraction), c
+        out[key] = c, type(c)
+    return type(coef), out
+
+
+def built_forms(p, xidx, a, reference=False):
+    """The minimal polynomial's and the components' coefficient forms,
+    from the library or from reference_spectrum, or the error type."""
+    try:
+        try:
+            spec = (reference_spectrum(p, xidx, a, DEGREE_CAP) if reference
+                    else ad_eigencomponents(p, xidx, a, DEGREE_CAP))
+        except RepeatedRootError:
+            spec = (reference_spectrum(p, xidx, a, DEGREE_CAP, components=False)
+                    if reference else adjoint.ad_minimal_polynomial(p, xidx, a, DEGREE_CAP))
+    except QsolvError as exc:
+        return type(exc)
+    return ([coefficient_form(c, reference) for c in spec.minpoly],
+            [(comp.dpow, {key: coefficient_form(c, reference)
+                          for key, c in comp.num.terms.items()})
+             for comp in spec.components])
+
+
+def assert_builds_as_reference(p, xidx, a):
+    assert built_forms(p, xidx, a) == built_forms(p, xidx, a, reference=True), \
+        (p.name, xidx, str(a))
+
+
+@FAMILIES
+def test_minpoly_and_division_build_as_the_reference(build):
+    p = build()
+    rng = random.Random(p.name + " builds")
+    for degree in (1, 2, 3):
+        for _ in range(6):
+            a = random_element(p, rng, degree)
+            for xidx in range(p.n):
+                assert_builds_as_reference(p, xidx, a)
+                assert_builds_as_reference(
+                    p, xidx, LocElement(p, xidx, a, rng.randint(1, 3)))
+
+
+@FAMILIES
+def test_division_builds_as_the_reference_on_fraction_coefficients(build):
+    # sums of components have FracElem coefficients, and a component plus
+    # the element has both kinds; the Jordan plane's roots all repeat, so
+    # it has no components to sum
+    p = build()
+    rng = random.Random(p.name + " fractions")
+    checked = 0
+    for _ in range(40):
+        xidx = rng.randrange(p.n)
+        a = random_element(p, rng)
+        try:
+            comps = ad_eigencomponents(p, xidx, a, DEGREE_CAP).components
+        except QsolvError:
+            continue
+        if len(comps) > 1 and checked < 6:
+            assert_builds_as_reference(p, xidx, comps[0].scale(3) + comps[-1])
+            assert_builds_as_reference(p, xidx, comps[-1] + loc_element(p, xidx, a))
+            checked += 1
+    assert checked == (0 if p.name == "jordan" else 6)
+
+
+def minus_plane():
+    """x*y = -y*x, where Ad_x has the roots 1 and -1 on y + 1."""
+    return Presentation("minus", (), ("x", "y"), 2, qmat={(0, 1): UnitMonomial((), -1, ())})
+
+
+def test_division_by_a_monomial_keeps_integral_coefficients_int():
+    p = minus_plane()
+    spec = ad_eigencomponents(p, 0, p.gen(1).scale(2) + p.monomial((0, 0), 4))
+    coefs = [c.num.terms[()] for comp in spec.components for c in comp.num.terms.values()]
+    assert [(c, type(c)) for c in coefs] == [(4, int), (2, int)]
+    rng = random.Random("minus builds")
+    for _ in range(24):
+        assert_builds_as_reference(p, rng.randrange(p.n), random_element(p, rng, 3))
+
+
+def test_minpoly_and_division_build_as_the_reference_on_the_weyl_ladder():
+    p = quantum_weyl(1)
+    for k in range(1, DEGREE_CAP):
+        assert_builds_as_reference(p, 0, p.gen_power(1, k))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(p=placed_presentations(), seed=st.integers(0, 2**16))
+def test_minpoly_and_division_build_as_the_reference_on_drawn_presentations(p, seed):
+    rng = random.Random(seed)
+    a = random_element(p, rng, rng.randint(1, 3))
+    assert_builds_as_reference(p, rng.randrange(p.n), a)
 
 
 def ad_value(p, xidx, a, coeffs):

@@ -1,5 +1,6 @@
 """Rewriting products onto the ordered monomial basis."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -156,6 +157,12 @@ def test_q_binomial_at_unit():
     value = q_binomial_at_unit(4, 2, u)
     subst = q_binomial(4, 2).eval_map({"q": u.as_poly()})
     assert value == subst
+
+
+def test_large_q_binomial_is_the_binomial_at_one():
+    # each exact division by 1 - q^k used to go through densepoly.divmod
+    # over Fraction entries, 8.6 s for this one
+    assert q_binomial(200, 100).eval_map({"q": 1}) == math.comb(200, 100)
 
 
 def test_leibniz_matches_multiplication(weyl):
