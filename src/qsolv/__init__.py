@@ -28,9 +28,11 @@ _EXPORTS = {
         "gamma_torsionfree", "unit_product",
     ),
     "presentation": (
-        "Finding", "Presentation", "ValidationReport", "builtin_presentation",
-        "quantum_affine", "quantum_matrices", "quantum_plane", "quantum_weyl",
-        "rank2", "validate_presentation",
+        "Finding", "Presentation", "ValidationReport", "validate_presentation",
+    ),
+    "families": (
+        "builtin_presentation", "quantum_affine", "quantum_matrices",
+        "quantum_plane", "quantum_weyl", "rank2",
     ),
     "normalform": (
         "NFElement", "delta_apply", "nf_mul", "q_binomial", "q_integer",

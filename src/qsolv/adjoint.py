@@ -186,6 +186,15 @@ class AdSpectrum(Frozen):
     def is_semisimple(self):
         return all(m == 1 for m in self.multiplicities)
 
+    def __eq__(self, other):
+        if not isinstance(other, AdSpectrum):
+            return NotImplemented
+        fields = self.__slots__
+        return [getattr(self, f) for f in fields] == [getattr(other, f) for f in fields]
+
+    # the presentation and the elements are unhashable
+    __hash__ = None
+
     def __repr__(self):
         roots = ", ".join(str(r) for r in self.roots)
         return f"AdSpectrum(degree {self.degree}, roots [{roots}])"

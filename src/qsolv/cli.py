@@ -27,7 +27,6 @@ from .errors import (
     RepeatedRootError,
     SpecializationError,
 )
-from .normalform import nf_mul
 from .params import LaurentPoly, UnitMonomial, monomial_text, signed_sum, term_text
 from .presentation import Presentation, validate_presentation
 
@@ -414,6 +413,8 @@ def parse_element(p, text):
     Terms add; within a term, factors multiply left to right through the
     rewriting engine, so monomials need not be written in basis order.
     """
+    from .normalform import nf_mul
+
     statements = _tokenize(text)
     if len(statements) != 1:
         raise ParseError("expected a single element expression", 1, 1)

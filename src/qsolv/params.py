@@ -20,7 +20,6 @@ from fractions import Fraction
 from math import gcd
 from operator import add as _add
 
-from . import intlinalg
 from .errors import QsolvError
 
 _ZERO = Fraction(0)
@@ -702,8 +701,10 @@ def gamma_torsionfree(generators):
     if not params:
         # every generator is +-1, so -1 itself lies in the group
         return False
+    from .intlinalg import kernel_basis
+
     rows = [[g.exps[r] for g in gens] for r in range(len(params))]
-    for vec in intlinalg.kernel_basis(rows):
+    for vec in kernel_basis(rows):
         if sum(vec[t] for t in negatives) % 2:
             return False
     return True

@@ -15,7 +15,6 @@ from math import gcd
 
 from . import densepoly
 from .errors import SpecializationError
-from .normalform import nf_mul
 from .params import (
     ExactValue, FracElem, Frozen, LaurentPoly, UnitMonomial, _set_field, gamma_torsionfree,
     monomial_text, signed_sum, term_text,
@@ -472,6 +471,8 @@ def is_central_at(p, element, target):
     Commutators against every generator are computed symbolically in
     normal form and then evaluated; zero at the target means central.
     """
+    from .normalform import nf_mul
+
     assignment = target.assignment(p.params)
     for g in range(p.n + p.m):
         diff = nf_mul(element, p.gen(g)) - nf_mul(p.gen(g), element)

@@ -19,10 +19,8 @@ from math import isqrt
 
 from . import densepoly
 from .errors import FamilyError, QsolvError
-from .normalform import nf_mul
 from .params import Frozen, FrozenRecord, LaurentPoly, UnitMonomial, _set_field
-from .presentation import Presentation, rank2
-from .torus import torus_of_presentation
+from .presentation import Presentation
 
 
 def admissible_compositions(n):
@@ -81,6 +79,8 @@ def _composition_blocks(n, composition):
 
 
 def _descriptor(p, composition):
+    from .torus import torus_of_presentation
+
     vanish, invert = _composition_blocks(p.n, composition)
     laurent = tuple(range(p.n, p.n + p.m))
     torus = torus_of_presentation(p, invert + laurent)
@@ -229,6 +229,8 @@ def stratify_rank2(f=0):
     and reports the excluded parameter values {1} union the rational
     roots of f.
     """
+    from .normalform import nf_mul
+
     if isinstance(f, Presentation):
         p = f
         if not _is_rank2(p):
@@ -237,6 +239,8 @@ def stratify_rank2(f=0):
                 "rank-2 single-tail family only"
             )
     else:
+        from .families import rank2
+
         p = rank2(f)
     q = p.commutation_unit(0, 1)
     x, y = p.gen(0), p.gen(1)

@@ -224,6 +224,20 @@ def test_degree_cap_is_a_nonnegative_integer(weyl, call):
     assert repr(call(weyl, Fraction(4, 2))) == repr(call(weyl, 2))
 
 
+def test_spectra_compare_by_value(weyl):
+    # spectra of one input used to compare unequal, as distinct objects
+    x = weyl.gen(1)
+    spec = ad_minimal_polynomial(weyl, 0, x, degree_cap=2)
+    assert spec == ad_minimal_polynomial(weyl, 0, x, degree_cap=2)
+    assert ad_eigencomponents(weyl, 0, x) == ad_eigencomponents(weyl, 0, x)
+    assert spec != ad_eigencomponents(weyl, 0, x)  # components filled in
+    assert spec != ad_minimal_polynomial(weyl, 0, x.scale(2))
+    assert spec != ad_minimal_polynomial(quantum_weyl(1), 0, nf_mul(x, x))
+    assert spec != repr(spec)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(spec)
+
+
 def counting(monkeypatch, calls, owner, name):
     """Record owner.name's calls in calls, by name, from now on."""
     original = getattr(owner, name)

@@ -1,5 +1,8 @@
 """Presentation data, builders, and the structural validator."""
 
+import re
+from fractions import Fraction
+
 import pytest
 
 from qsolv import (
@@ -90,6 +93,32 @@ def test_quantum_affine_custom_exponents():
     # the exponent matrix must be antisymmetric
     with pytest.raises(Exception):
         quantum_affine(2, exponents=[[0, 1], [1, 0]])
+
+
+@pytest.mark.parametrize("build, bad", [
+    (lambda: quantum_affine(2, [[0, 1.5], [-1.5, 0]]), "1.5"),
+    (lambda: quantum_affine(2, [[0, Fraction(1, 2)], [Fraction(-1, 2), 0]]),
+     "Fraction(1, 2)"),
+    (lambda: quantum_affine(2.5), "2.5"),
+    (lambda: quantum_matrices(2.5), "2.5"),
+    (lambda: quantum_matrices("3"), "'3'"),
+    (lambda: quantum_weyl(2.0), "2.0"),
+    (lambda: rank2({1.5: 1}), "1.5"),
+], ids=["affine-exponent", "affine-fraction-exponent", "affine-size", "matrices-size",
+        "matrices-str", "weyl-size", "rank2-exponent"])
+def test_builders_take_integer_sizes_and_exponents(build, bad):
+    # each of these used to be truncated by int(): quantum_matrices(2.5)
+    # built the 2x2 algebra, and the 1.5 exponents x1 x2 = q x2 x1
+    with pytest.raises(TypeError, match=re.escape(f"expected an integer exponent, got {bad}")):
+        build()
+
+
+def test_builders_read_integral_fractions_as_ints():
+    assert quantum_matrices(Fraction(4, 2)) == quantum_matrices(2)
+    assert quantum_weyl(Fraction(2)).name == "quantum_weyl2"
+    p = quantum_affine(Fraction(2), [[0, Fraction(-6, 2)], [Fraction(3), 0]])
+    assert p.name == "quantum_affine2"
+    assert p.commutation_unit(0, 1) == u(p.params, "q", -3)
 
 
 def test_builtin_dispatch():

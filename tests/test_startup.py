@@ -20,8 +20,7 @@ SRC = Path(qsolv.__file__).resolve().parents[1]
 DATA = Path(__file__).parent / "data"
 
 # What every command loads: the package, the driver and what parsing needs.
-PARSE = {"qsolv", "qsolv.cli", "qsolv.errors", "qsolv.intlinalg",
-         "qsolv.normalform", "qsolv.params", "qsolv.presentation"}
+PARSE = {"qsolv", "qsolv.cli", "qsolv.errors", "qsolv.params", "qsolv.presentation"}
 
 RUN = """\
 import io, json, sys
@@ -39,7 +38,8 @@ print(json.dumps({
 """
 
 # The names `import qsolv` exported before the package became lazy, by the
-# module each was imported from.
+# module each was imported from.  The family builders now live in
+# qsolv.families and still resolve from qsolv.presentation.
 EXPORTS = {
     "errors": ("AdRootError", "FamilyError", "LatticeError", "LocalizationError",
                "ParseError", "PresentationError", "QsolvError", "RepeatedRootError",
@@ -67,8 +67,18 @@ EXPORTS = {
     "cli": ("parse_element", "parse_presentation", "print_presentation"),
 }
 NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
-SUBMODULES = ("adjoint", "cli", "densepoly", "errors", "intlinalg", "normalform",
-              "params", "presentation", "special", "strat", "torus", "weights")
+SUBMODULES = ("adjoint", "cli", "densepoly", "errors", "families", "intlinalg",
+              "normalform", "params", "presentation", "special", "strat", "torus",
+              "weights")
+
+
+def loaded_by(statement):
+    """The qsolv modules a fresh interpreter holds after one statement."""
+    code = (f"import json, sys; sys.path.insert(0, sys.argv[1]); {statement}; "
+            "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'qsolv']))")
+    done = subprocess.run([sys.executable, "-S", "-c", code, str(SRC)],
+                          capture_output=True, text=True, check=True)
+    return set(json.loads(done.stdout))
 
 
 def run_fresh(*argv):
@@ -87,6 +97,13 @@ def torus_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def negative_file(tmp_path):
+    path = tmp_path / "negative.alg"
+    path.write_text("algebra N\nparams q\ngens x poly, y poly\ncommute x y : -q\n")
+    return str(path)
+
+
 @pytest.mark.parametrize("argv, code, extra", [
     (["validate", str(DATA / "matrices2.alg")], 0, set()),
     (["validate", str(DATA / "weight_mismatch.alg")], 1, set()),
@@ -94,13 +111,17 @@ def torus_file(tmp_path):
      {"qsolv.densepoly", "qsolv.special"}),
     (["specialize", str(DATA / "plane.alg"), "--param", "q=2"], 0,
      {"qsolv.densepoly", "qsolv.special"}),
-    (["compositions", "3"], 0, {"qsolv.densepoly", "qsolv.strat", "qsolv.torus"}),
+    (["compositions", "3"], 0, {"qsolv.densepoly", "qsolv.strat"}),
     (["stratify", str(DATA / "rank2.alg")], 0,
-     {"qsolv.densepoly", "qsolv.strat", "qsolv.torus"}),
-    (["weights", str(DATA / "plane.alg"), "x*y + 2*x"], 0, {"qsolv.weights"}),
-    (["adjoint", str(DATA / "weyl1.alg"), "y", "x^2"], 0, {"qsolv.adjoint"}),
+     {"qsolv.densepoly", "qsolv.strat", "qsolv.normalform"}),
+    (["stratify", str(DATA / "affine3.alg")], 0,
+     {"qsolv.densepoly", "qsolv.strat", "qsolv.torus", "qsolv.intlinalg"}),
+    (["weights", str(DATA / "plane.alg"), "x*y + 2*x"], 0,
+     {"qsolv.weights", "qsolv.normalform"}),
+    (["adjoint", str(DATA / "weyl1.alg"), "y", "x^2"], 0,
+     {"qsolv.adjoint", "qsolv.normalform"}),
 ], ids=["validate", "validate-fail", "specialize-zeta", "specialize-q", "compositions",
-        "stratify", "weights", "adjoint"])
+        "stratify", "stratify-affine", "weights", "adjoint"])
 def test_command_loads_only_what_it_runs(argv, code, extra):
     result = run_fresh(*argv)
     assert result["code"] == code
@@ -112,8 +133,34 @@ def test_center_loads_only_what_it_runs(torus_file):
     result = run_fresh("center", torus_file)
     assert result["code"] == 0
     assert result["stdout"].startswith("G = <")
-    assert set(result["modules"]) == PARSE | {"qsolv.torus"}
+    assert set(result["modules"]) == PARSE | {"qsolv.torus", "qsolv.intlinalg"}
     assert not result["dataclasses"]
+
+
+def test_validate_loads_the_lattices_only_for_a_negative_unit(negative_file):
+    # Q2 needs an integer kernel only when some unit is negative
+    result = run_fresh("validate", negative_file)
+    assert result["code"] == 0
+    assert set(result["modules"]) == PARSE | {"qsolv.intlinalg"}
+
+
+def test_parse_path_modules_load_no_algorithm():
+    params = {"qsolv", "qsolv.errors", "qsolv.params"}
+    assert loaded_by("import qsolv.params") == params
+    assert loaded_by("import qsolv.presentation") == params | {"qsolv.presentation"}
+
+
+def test_building_an_element_loads_the_engine():
+    assert "qsolv.normalform" in loaded_by(
+        "from qsolv.presentation import Presentation; "
+        "Presentation('A', (), ('x',), 1).gen(0)")
+
+
+def test_presentation_keeps_its_other_attribute_errors():
+    from qsolv import presentation
+
+    with pytest.raises(AttributeError, match="no attribute 'frobnicate'"):
+        presentation.frobnicate  # noqa: B018
 
 
 def test_validate_skips_the_algorithm_modules():
