@@ -12,7 +12,7 @@ pieces, with denominators built from differences of the eigenvalues.
 from __future__ import annotations
 
 from .errors import AdRootError, LocalizationError, RepeatedRootError
-from .normalform import NFElement, nf_mul
+from .normalform import NFElement, _accumulate, nf_mul
 from .params import (
     FracElem, Frozen, LaurentPoly, _as_exponent, _set_field, unit_product,
 )
@@ -42,7 +42,7 @@ def _divide_right_once(p, xidx, elem):
         newkey = list(key)
         newkey[xidx] -= 1
         out[tuple(newkey)] = coef.times_unit(scalar)
-    return NFElement(p, out)
+    return NFElement._make(p, out)
 
 
 class LocElement(Frozen):
@@ -56,6 +56,7 @@ class LocElement(Frozen):
 
     def __init__(self, pres, xidx, num, dpow=0):
         _check_site(pres, xidx)
+        dpow = _as_exponent(dpow)
         if dpow < 0:
             raise LocalizationError("denominator power must be nonnegative")
         while dpow > 0:
@@ -279,7 +280,11 @@ def _peel(p, xidx, a, degree_cap, simple=False):
         weight = _conjugation_weight(p, xidx, lead)
         counts[weight] = counts.get(weight, 0) + 1
         steps.append((weight, num, lifted))
-        num = nf_mul(x, num) - lifted.scale(weight)
+        # x * num - weight * lifted, as one sum
+        terms, neg = dict(nf_mul(x, num).terms), -weight
+        for key, coef in lifted.terms.items():
+            _accumulate(terms, key, coef.times_unit(neg))
+        num = NFElement._make(p, terms)
         if num and max(num.terms) >= lead:
             raise AdRootError(
                 "conjugation does not lower the leading monomial; "

@@ -189,7 +189,7 @@ def rank2(f):
         if f.params != params:
             raise FamilyError("f must be a Laurent polynomial in q alone")
     elif isinstance(f, dict):
-        f = LaurentPoly(params, {(_as_exponent(e),): Fraction(v) for e, v in f.items()})
+        f = LaurentPoly(params, {(_as_exponent(e),): v for e, v in f.items()})
     elif isinstance(f, (int, Fraction)):
         f = LaurentPoly.const(params, f)
     else:

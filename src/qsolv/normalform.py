@@ -467,7 +467,7 @@ def tau_apply(pres, i, element, power=1):
     terms = {}
     for key, coef in element.terms.items():
         terms[key] = coef.times_unit(pres.key_weight(i, key).pow(power))
-    return NFElement(pres, terms)
+    return NFElement._make(pres, terms)
 
 
 def delta_apply(pres, i, element):

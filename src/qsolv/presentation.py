@@ -26,6 +26,7 @@ from .params import (
     LaurentPoly,
     UnitMonomial,
     _as_exponent,
+    _as_exponents,
     _set_field,
     gamma_torsionfree,
     unit_product,
@@ -52,11 +53,22 @@ def _element(pres, terms):
     """NFElement(pres, terms).  The first call loads the product engine
     and rebinds this name to the class itself, so that later calls cost
     what a direct call does."""
-    global _element
+    _load_engine()
+    return _element(pres, terms)
+
+
+def _made(pres, terms):
+    """NFElement._make(pres, terms), for terms already clean; loaded as
+    _element is."""
+    _load_engine()
+    return _made(pres, terms)
+
+
+def _load_engine():
+    global _element, _made
     from .normalform import NFElement
 
-    _element = NFElement
-    return NFElement(pres, terms)
+    _element, _made = NFElement, NFElement._make
 
 
 def _coerce_unit(params, value, where):
@@ -89,7 +101,7 @@ class Presentation(Frozen):
 
     def __init__(self, name, params, gens, npoly, *, qmat=None, tails=None,
                  qskew=None, hweights=None):
-        name, params, gens, n = str(name), tuple(params), tuple(gens), int(npoly)
+        name, params, gens, n = str(name), tuple(params), tuple(gens), _as_exponent(npoly)
         if not _NAME_RE.match(name):
             raise PresentationError(f"bad algebra name {name!r}")
         for p in params:
@@ -111,7 +123,7 @@ class Presentation(Frozen):
         one = UnitMonomial.one(params)
         stored = {}
         for (a, b), value in (qmat or {}).items():
-            a, b = int(a), int(b)
+            a, b = _as_exponents((a, b))
             if not 0 <= a < b < total:
                 raise PresentationError(f"commutation pair ({a},{b}) out of order")
             stored[(a, b)] = _coerce_unit(params, value, f"commute {gens[a]} {gens[b]}")
@@ -123,14 +135,14 @@ class Presentation(Frozen):
 
         clean_tails = {}
         for (i, j), terms in (tails or {}).items():
-            i, j = int(i), int(j)
+            i, j = _as_exponents((i, j))
             if not 0 <= i < j < n:
                 raise PresentationError(
                     f"tail pair ({i},{j}) must name two polynomial generators in order"
                 )
             body = {}
             for key, coef in terms.items():
-                key = tuple(map(int, key))
+                key = _as_exponents(key)
                 if len(key) != total:
                     raise PresentationError("tail monomial width mismatch")
                 if min(key[:n], default=0) < 0:
@@ -168,7 +180,7 @@ class Presentation(Frozen):
             for i in range(n):
                 rows[i][i] = qskew[i].inverse()
             for (i, j), u in (hweights or {}).items():
-                i, j = int(i), int(j)
+                i, j = _as_exponents((i, j))
                 if not (0 <= i < n and 0 <= j < total):
                     raise PresentationError(f"weight index ({i},{j}) out of range")
                 rows[i][j] = _coerce_unit(params, u, f"weight {i + 1} {gens[j]}")
@@ -248,7 +260,7 @@ class Presentation(Frozen):
             )
         key = [0] * len(self.gens)
         key[pos] = power
-        return _element(self, {tuple(key): Fraction(1)})
+        return _made(self, {tuple(key): LaurentPoly.one(self.params)})
 
     def tail_element(self, i, j):
         return _element(self, self.tails.get((i, j), {}))

@@ -29,7 +29,7 @@ def weight_components(a):
     for key, coef in a.terms.items():
         w = monomial_weight(p, key)
         buckets.setdefault(w, {})[key] = coef
-    items = [(w, NFElement(p, terms)) for w, terms in buckets.items()]
+    items = [(w, NFElement._make(p, terms)) for w, terms in buckets.items()]
     items.sort(key=lambda pair: tuple((u.sign, u.exps) for u in pair[0]))
     return items
 

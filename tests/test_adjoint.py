@@ -11,6 +11,7 @@ from qsolv import (
     LaurentPoly,
     LocElement,
     LocalizationError,
+    NFElement,
     Presentation,
     PresentationError,
     RepeatedRootError,
@@ -80,6 +81,18 @@ def test_loc_element_lift_checks(plane):
         a.lifted(1)
     with pytest.raises(LocalizationError):
         LocElement(plane, 5, plane.gen(1), 0)
+
+
+@pytest.mark.parametrize("dpow, bad", [(1.5, "1.5"), (0.5, "0.5")])
+def test_denominator_power_is_an_integer(weyl, dpow, bad):
+    # 1.5 used to leave the power -0.5 after one division, printed y^--0.5
+    y = weyl.gen(0)
+    for num in (nf_mul(y, y), y):
+        with pytest.raises(TypeError, match=f"expected an integer exponent, got {bad}"):
+            LocElement(weyl, 0, num, dpow)
+    elem = LocElement(weyl, 0, nf_mul(y, y), Fraction(4, 2))
+    assert elem.dpow == 0 and type(elem.dpow) is int
+    assert elem.num == weyl.one()
 
 
 def test_ad_apply_plane(plane):
@@ -261,6 +274,31 @@ def test_each_component_takes_its_denominator_content_once(weyl, monkeypatch):
     spec = ad_eigencomponents(weyl, 0, weyl.gen_power(1, 5))
     assert len(spec.components) == 6
     assert len(calls) == 6
+
+
+def test_gen_power_builds_no_checked_coefficient(weyl, monkeypatch):
+    want, one = weyl.monomial((0, 3)), LaurentPoly.one(weyl.params)
+    built = []
+    counting(monkeypatch, built, LaurentPoly, "__init__")
+    power, gen = weyl.gen_power(1, 3), weyl.gen(0)
+    assert built == []
+    assert power == want and gen.terms == {(1, 0): one}
+
+
+def spectra_inputs():
+    weyl, matrices = quantum_weyl(1), quantum_matrices(3)
+    # the components of Ad_a11 on a23 have coefficients over h^2 - 1
+    return [(weyl, 0, 1, weyl.gen_power(1, 5)), (matrices, 0, 5, matrices.gen(5))]
+
+
+@pytest.mark.parametrize("p, xidx, gidx, a", spectra_inputs(), ids=["weyl1-x^5", "matrices3"])
+def test_spectra_build_no_checked_element(p, xidx, gidx, a, monkeypatch):
+    calls = []
+    counting(monkeypatch, calls, NFElement, "__init__")
+    spec = ad_eigencomponents(p, xidx, a)
+    replacement_generator(p, xidx, gidx)
+    assert calls == []
+    assert any(not c.den.is_one() for comp in spec.components for c in comp.num.terms.values())
 
 
 def test_tail_that_breaks_placement_is_named():

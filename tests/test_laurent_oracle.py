@@ -5,7 +5,9 @@ Ring laws run over one to three parameters, with negative exponents,
 fractional coefficients and sums built to cancel, and the field laws of
 FracElem over one or two.  Every result that an
 internal ``_make`` built must be what the validating constructor makes
-of it, for LaurentPoly and for NFElement.
+of it, for LaurentPoly and for NFElement: products and sums, generator
+powers, the right division of a localized element, tau and the weight
+components.
 """
 
 import random
@@ -16,12 +18,15 @@ import pytest
 from qsolv import (
     FracElem,
     LaurentPoly,
+    LocElement,
     NFElement,
     nf_mul,
     quantum_affine,
     quantum_matrices,
     quantum_plane,
     quantum_weyl,
+    tau_apply,
+    weight_components,
 )
 
 import reference_laurent as ref
@@ -215,5 +220,9 @@ def assert_clean_element(elem):
 def test_nf_results_are_clean(p, seed):
     rng = random.Random(seed)
     a, b = _random_element(p, rng), _random_element(p, rng)
-    for result in (nf_mul(a, b), a + b, a - a, a + (-b), -a):
+    results = [nf_mul(a, b), a + b, a - a, a + (-b), -a, p.gen_power(0, 2),
+               LocElement(p, 0, nf_mul(a, p.gen(0)), 1).num]
+    results += [tau_apply(p, i, a, -1) for i in range(p.n)]
+    results += [part for _, part in weight_components(a)]
+    for result in results:
         assert_clean_element(result)

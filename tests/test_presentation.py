@@ -121,6 +121,41 @@ def test_builders_read_integral_fractions_as_ints():
     assert p.commutation_unit(0, 1) == u(p.params, "q", -3)
 
 
+def test_rank2_takes_rational_values():
+    # Fraction(0.1) used to store the float's binary expansion as the tail
+    with pytest.raises(TypeError, match=re.escape("expected a rational value, got 0.1")):
+        rank2({0: 0.1})
+    q = LaurentPoly.var(("q",), "q")
+    assert rank2({0: Fraction(6, 2), 1: -1}) == rank2(3 - q)
+
+
+def b_plane(**kwargs):
+    q = u(("q",), "q")
+    kwargs.setdefault("qmat", {(0, 1): q, (0, 2): q, (1, 2): q})
+    return Presentation("B", ("q",), ("x", "y", "z"), kwargs.pop("npoly", 3), **kwargs)
+
+
+@pytest.mark.parametrize("kwargs, bad", [
+    (dict(npoly=1.9), "1.9"),
+    (dict(qmat={(0, 1.5): u(("q",), "q")}), "1.5"),
+    (dict(tails={(0, 2.5): {(0, 1, 0): 1}}), "2.5"),
+    (dict(tails={(0, 2): {(0, 1.7, 0): 1}}), "1.7"),
+    (dict(hweights={(0, Fraction(3, 2)): u(("q",), "q")}), "Fraction(3, 2)"),
+], ids=["npoly", "qmat-index", "tail-index", "tail-key", "weight-index"])
+def test_presentation_takes_integer_counts_and_indices(kwargs, bad):
+    # each of these used to be truncated by int(): npoly 1.9 gave one
+    # polynomial generator, and the tail key (0, 1.7, 0) read as (0, 1, 0)
+    with pytest.raises(TypeError, match=re.escape(f"expected an integer exponent, got {bad}")):
+        b_plane(**kwargs)
+
+
+def test_presentation_reads_integral_fractions_as_ints():
+    p = b_plane(npoly=Fraction(6, 2), tails={(0, Fraction(4, 2)): {(0, Fraction(1), 0): 1}})
+    assert p.n == 3 and type(p.n) is int
+    assert p.tails == {(0, 2): {(0, 1, 0): LaurentPoly.one(("q",))}}
+    assert all(type(e) is int for pair in p.tails for e in pair)
+
+
 def test_builtin_dispatch():
     assert builtin_presentation("quantum_plane") == quantum_plane()
     assert builtin_presentation("quantum_weyl", 2) == quantum_weyl(2)
