@@ -27,7 +27,9 @@ it terminates because every tail lives in the subalgebra generated by
 strictly later generators; a cap of DEFAULT_BUDGET new fills per call,
 which happen only where a letter crosses a relation with a tail, and a
 check for fills that need their own result turn malformed tails into
-RewriteBudgetError.
+RewriteBudgetError.  A second table on the presentation says, for each
+pair of monomials multiplied so far, whether the pair is in order, moves
+by one scalar, or crosses a tail and so needs the right products.
 """
 
 from __future__ import annotations
@@ -45,10 +47,14 @@ from .params import (
 # each fill, not at import, so a lowered value holds from the next call.
 DEFAULT_BUDGET = 10**6
 
-# The most right products a presentation keeps between nf_mul calls; a
-# call that leaves more clears them.  One round of any benchmark workload
-# holds at most 419 entries, over all of its presentations.
+# The most entries a presentation keeps in each of its two product
+# tables between nf_mul calls; a call that leaves more clears that table.
+# A round of a benchmark workload, on any seed, peaks at 891 monomial
+# pairs (quantum_matrices(3) in products) and 270 right products (powers).
 _TABLE_CAP = 1024
+
+# The monomial-pair entry of a product that crosses a tail.
+_TAILED = object()
 
 
 def _coerce_coef(pres, value):
@@ -397,48 +403,57 @@ class _RightTable:
         return out
 
 
+def _pair_entry(pres, k1, k2):
+    """The ``Presentation._pairs`` entry of monomials k1 and k2: None when
+    k1 * k2 is in order, _TAILED when a polynomial letter of k1 comes
+    after a letter g_a of k2 and has a tail against it, else sigma(k1,
+    k2), the one scalar of a product whose crossing letters q-commute."""
+    s1, s2 = support(k1), support(k2)
+    if not s1 or not s2 or s1[-1] <= s2[0]:
+        return None
+    n, tailed = pres.n, pres._tailed_after
+    if any(k1[c] for a in s2 if a < n for c in tailed[a]):
+        return _TAILED
+    return normal_scalar(pres.commutation_unit, k1, k2, pres.params, s1, s2)
+
+
 def nf_mul(left, right):
     """Product of two normal-form elements, again in normal form.
 
-    Each pair of terms multiplies as monomials.  The support of each
-    term, its positions with a nonzero exponent, is found once per call,
-    and the letters that could cross a tail are read off the right
-    term's support.  When no letter of the left monomial that comes
-    after a letter g_a of the right one has a tail against g_a, every
-    crossing pair q-commutes, and the product is the sum of the exponent
-    keys times one scalar, normal_scalar over the two supports, which
-    shifts the coefficient's exponents (``times_unit``); a pair already
-    in order is the case with no crossing pairs.  Otherwise the left
-    monomial is multiplied on the right by the letters of the right one,
-    lowest first, through a table of right products M * g_a (see
-    _RightTable), and the invertible block of the right monomial joins
-    last.
+    Each pair of terms multiplies as monomials, by the pair's entry in
+    the table kept on the presentation (``Presentation._pairs``, see
+    _pair_entry), which a miss fills from the two supports.  A pair
+    whose crossing letters all q-commute, having no tail against each
+    other, is the sum of the exponent keys times one scalar, sigma(k1,
+    k2), applied as a shift of the coefficient's exponents
+    (``times_unit``); a pair already in order needs no scalar.
+    Otherwise the left monomial is multiplied on the right by the
+    letters of the right one, lowest first, through a table of right
+    products M * g_a (see _RightTable), and the invertible block of the
+    right monomial joins last.
 
-    The call reads and extends the table kept on the presentation, so it
-    fills only the entries no earlier call has, and DEFAULT_BUDGET caps
-    its new fills.  Exceeding the cap, or a fill that needs its own
-    result, raises RewriteBudgetError.
+    The call reads and extends both tables, so it fills only the entries
+    no earlier call has, and DEFAULT_BUDGET caps its new right products.
+    Exceeding the cap, or a fill that needs its own result, raises
+    RewriteBudgetError.
     """
     if left.pres is not right.pres:
         left._check(right)
     pres = left.pres
-    n, tailed, width = pres.n, pres._tailed_after, pres.n + pres.m
-    pairing, params = pres.commutation_unit, pres.params
-    rights = []
-    for k2, c2 in right.terms.items():
-        s2 = support(k2)
-        crossers = [c for a in s2 if a < n for c in tailed[a]]
-        rights.append((k2, c2, s2, crossers, s2[0] if s2 else width))
+    pairs, n = pres._pairs, pres.n
+    rights = right.terms.items()
     table = None
     out = {}
     for k1, c1 in left.terms.items():
-        s1 = support(k1)
-        last1 = s1[-1] if s1 else -1
-        for k2, c2, s2, crossers, first2 in rights:
+        for k2, c2 in rights:
+            try:
+                entry = pairs[k1, k2]
+            except KeyError:
+                entry = pairs[k1, k2] = _pair_entry(pres, k1, k2)
             coef = c1 * c2
-            if not crossers or not any(map(k1.__getitem__, crossers)):
-                if last1 > first2:  # a letter of k1 comes after one of k2
-                    coef = coef.times_unit(normal_scalar(pairing, k1, k2, params, s1, s2))
+            if entry is not _TAILED:
+                if entry is not None:
+                    coef = coef.times_unit(entry)
                 _accumulate(out, tuple(map(add, k1, k2)), coef)
                 continue
             if table is None:
@@ -452,6 +467,8 @@ def nf_mul(left, right):
                 _accumulate(out, key, c)
     if len(pres._rtable) > _TABLE_CAP:
         pres._rtable.clear()
+    if len(pairs) > _TABLE_CAP:
+        pairs.clear()
     return NFElement._make(pres, out)
 
 
@@ -526,8 +543,11 @@ def q_binomial(n, i):
 
 
 def q_integer(n):
-    """1 + q + ... + q^(n-1) as a polynomial in q."""
-    return LaurentPoly(("q",), {(k,): 1 for k in range(_as_exponent(n))})
+    """1 + q + ... + q^(n-1) as a polynomial in q, for n >= 0."""
+    n = _as_exponent(n)
+    if n < 0:
+        raise ValueError("q-integer index must be nonnegative")
+    return LaurentPoly(("q",), {(k,): 1 for k in range(n)})
 
 
 def q_binomial_at_unit(n, i, unit):

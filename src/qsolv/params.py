@@ -141,6 +141,15 @@ def _as_exponents(exps):
     return tuple(map(_as_exponent, exps))
 
 
+def _int_values(terms):
+    """terms with every integral Fraction value stored as an int.
+
+    The callers run it only when the sum of the values is not an int: a
+    sum of ints is an int, and any Fraction in it makes a Fraction, so
+    the all-int path costs one sum and one type test."""
+    return {e: c.numerator if c.denominator == 1 else c for e, c in terms.items()}
+
+
 def _quotient(a, b):
     """The exact quotient a / b of coefficients, never a float."""
     if a.__class__ is int and b.__class__ is int and not a % b:
@@ -321,6 +330,8 @@ class LaurentPoly(ExactValue):
                 terms[exps] = new
             else:
                 del terms[exps]
+        if sum(other.terms.values()).__class__ is not int:
+            terms = _int_values(terms)  # two Fractions may sum to an integer
         return LaurentPoly._make(self.params, terms)
 
     __radd__ = __add__
@@ -346,9 +357,10 @@ class LaurentPoly(ExactValue):
             for e2, c2 in big.terms.items():
                 exps = tuple(map(_add, e1, e2))
                 terms[exps] = get(exps, 0) + c1 * c2
-        return LaurentPoly._make(
-            self.params, {e: c for e, c in terms.items() if c}
-        )
+        terms = {e: c for e, c in terms.items() if c}
+        if sum(terms.values()).__class__ is not int:
+            terms = _int_values(terms)
+        return LaurentPoly._make(self.params, terms)
 
     __rmul__ = __mul__
 
@@ -362,9 +374,15 @@ class LaurentPoly(ExactValue):
                 return -self
             terms = {e: c * scale for e, c in self.terms.items()}
         elif scale == 1:
-            terms = {tuple(map(_add, e, shift)): c for e, c in self.terms.items()}
+            return LaurentPoly._make(
+                self.params, {tuple(map(_add, e, shift)): c for e, c in self.terms.items()})
+        elif scale == -1:
+            return LaurentPoly._make(
+                self.params, {tuple(map(_add, e, shift)): -c for e, c in self.terms.items()})
         else:
             terms = {tuple(map(_add, e, shift)): c * scale for e, c in self.terms.items()}
+        if sum(terms.values()).__class__ is not int:
+            terms = _int_values(terms)  # a Fraction times a value may be an integer
         return LaurentPoly._make(self.params, terms)
 
     def times_unit(self, unit):

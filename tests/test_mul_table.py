@@ -1,4 +1,5 @@
-"""The right-product table behind nf_mul, against the word rewriter.
+"""The two product tables behind nf_mul, right products and monomial
+pairs, against the word rewriter and the reference scalars.
 
 reference_rewriter.py keeps the word rewriter that nf_mul replaced.  The
 two must give the same normal form term for term, also on
@@ -28,8 +29,10 @@ from qsolv import (
     validate_presentation,
 )
 from qsolv import normalform
-from qsolv.normalform import NFElement, _RightTable
+from qsolv.normalform import _TAILED, NFElement, _RightTable
+from qsolv.params import support
 from reference_rewriter import reference_mul
+from reference_scalars import reference_normal_scalar
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -235,6 +238,55 @@ def test_power_ladder_fill_count(monkeypatch):
     assert total == 751
 
 
+class CountingPairs(dict):
+    """A pair table that counts its lookups and its misses."""
+
+    def __init__(self):
+        super().__init__()
+        self.lookups = self.misses = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        try:
+            return super().__getitem__(key)
+        except KeyError:
+            self.misses += 1
+            raise
+
+
+def count_pairs(p):
+    """Give p an empty pair table that counts, and return it."""
+    pairs = CountingPairs()
+    object.__setattr__(p, "_pairs", pairs)
+    return pairs
+
+
+def test_matrices3_triples_pair_count():
+    # both bracketings of the 729 generator triples look up 3,078 term
+    # pairs, and only the 891 distinct ones find sigma or the tail test
+    # from the two supports
+    p = quantum_matrices(3)
+    pairs = count_pairs(p)
+    gens = [p.gen(i) for i in range(p.n)]
+    for a, b, c in itertools.product(gens, repeat=3):
+        nf_mul(nf_mul(a, b), c)
+        nf_mul(a, nf_mul(b, c))
+    assert (pairs.lookups, pairs.misses, len(pairs)) == (3078, 891, 891)
+
+
+def test_power_ladder_pairs_miss_once():
+    # no pair of the powers ladder repeats, so each misses on its first
+    # product and is read back on the second
+    for left, right in power_ladders():
+        pairs = left.pres._pairs
+        if not isinstance(pairs, CountingPairs):
+            pairs = count_pairs(left.pres)
+        before = (pairs.lookups, pairs.misses)
+        product = nf_mul(left, right)
+        assert_same_normal_form(nf_mul(left, right), product)
+        assert (pairs.lookups - before[0], pairs.misses - before[1]) == (2, 1)
+
+
 def _round_fills(monkeypatch, workload):
     """Table fills made by the timed calls of one benchmark round, seed 3."""
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -361,6 +413,29 @@ def test_fill_that_needs_itself_leaves_no_marker():
         assert all(isinstance(entry, dict) for entry in p._rtable.values())
 
 
+def crosses_a_tail(p, k1, k2):
+    """True when a polynomial letter of k1 comes after a letter of k2
+    whose relation with it has a tail, read off p.tails."""
+    return any(k1[c] and k2[a] for (a, c) in p.tails)
+
+
+def assert_pair_entries(p):
+    """Every entry of the presentation's pair table says how its two
+    monomials multiply: None in order, sigma where no crossing has a
+    tail, the marker where one has."""
+    for (k1, k2), entry in p._pairs.items():
+        s1, s2 = support(k1), support(k2)
+        assert (entry is None) == (not s1 or not s2 or s1[-1] <= s2[0]), (k1, k2)
+        assert (entry is _TAILED) == crosses_a_tail(p, k1, k2), (k1, k2)
+        if entry is _TAILED:
+            continue
+        sigma = reference_normal_scalar(p.commutation_unit, k1, k2, p.params)
+        assert sigma.is_one() if entry is None else entry == sigma
+        key = tuple(map(sum, zip(k1, k2)))
+        assert_same_normal_form(reference_mul(p.monomial(k1), p.monomial(k2)),
+                                p.monomial(key, sigma.as_poly()))
+
+
 def test_interleaved_products_match_word_rewriter():
     # the non-confluent family and the invertible block, one shared table
     # each, multiplied in a random order
@@ -373,28 +448,35 @@ def test_interleaved_products_match_word_rewriter():
     for p in pair:
         assert p._rtable
         assert_entries_finished(p)
+        assert {type(entry) for entry in p._pairs.values()} == {
+            type(None), type(_TAILED), UnitMonomial}
+        assert_pair_entries(p)
 
 
 def test_table_cap_bounds_the_shared_entries(monkeypatch):
     monkeypatch.setattr(normalform, "_TABLE_CAP", 8)
     w = quantum_weyl(1)
-    held = []
+    held, pairs = [], []
     for i, j in itertools.product(range(1, 6), repeat=2):
         left, right = w.gen_power(1, i), w.gen_power(0, j)
         assert_same_normal_form(nf_mul(left, right), reference_mul(left, right))
         held.append(len(w._rtable))
-    # kept while under the cap, cleared by a call that leaves more
+        pairs.append(len(w._pairs))
+    # kept while under the cap, cleared by a call that leaves more; each
+    # call adds one monomial pair
     assert max(held) == 8 and held.count(0) > 1
+    assert pairs == [1, 2, 3, 4, 5, 6, 7, 8, 0] * 2 + [1, 2, 3, 4, 5, 6, 7]
 
 
 def test_pickles_leave_the_memo_tables_behind():
     w = quantum_weyl(1)
     size = len(pickle.dumps(w))
     products = [nf_mul(w.gen_power(1, k), w.gen_power(0, k)) for k in range(1, 9)]
-    assert w._rtable and w._tailcache
+    assert w._rtable and w._tailcache and w._pairs
     assert len(pickle.dumps(w)) == size
     dup = pickle.loads(pickle.dumps(w))
-    assert dup._rtable == {} and dup._tailcache == {}
+    assert dup._rtable == {} and dup._tailcache == {} and dup._pairs == {}
+    assert dup == w
     for k, product in enumerate(products, 1):
         again = nf_mul(dup.gen_power(1, k), dup.gen_power(0, k))
         assert again.pres is dup

@@ -137,6 +137,12 @@ def test_q_integers_and_binomials():
     qv = LaurentPoly.var(P, "q")
     assert q_integer(0) == LaurentPoly.zero(P)
     assert q_integer(3) == 1 + qv + qv ** 2
+    # a negative index used to give 0, where q_binomial raises
+    for n in (-1, -2):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            q_integer(n)
+        with pytest.raises(ValueError, match="out of range"):
+            q_binomial(n, 0)
     assert q_binomial(4, 0) == LaurentPoly.one(P)
     assert q_binomial(4, 2) == 1 + qv + 2 * qv ** 2 + qv ** 3 + qv ** 4
     assert q_binomial(5, 2) == q_binomial(5, 3)

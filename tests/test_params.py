@@ -235,6 +235,26 @@ def test_exact_division_never_gives_a_float():
         (q() * 3).divide_content(3, ())
 
 
+def test_integral_products_and_sums_store_ints():
+    # products and sums of Fraction coefficients used to keep integral
+    # values as Fraction(2, 1), against "an int while it is integral"
+    half = LaurentPoly.const(P, Fraction(1, 2))
+    mixed = LaurentPoly(P, {(0,): Fraction(1, 2), (1,): Fraction(3, 2)})
+    x = quantum_weyl(1).gen(1)
+    cases = [
+        (LaurentPoly.const(P, 4) * half, {(0,): 2}),
+        (half * LaurentPoly.const(P, 4), {(0,): 2}),
+        (q() * half * 6, {(1,): 3}),
+        (mixed * LaurentPoly(P, {(0,): 2, (1,): 4}), {(0,): 1, (1,): 5, (2,): 6}),
+        (half + half, {(0,): 1}),
+        (mixed - half, {(1,): Fraction(3, 2)}),
+        (x.scale(Fraction(1, 2)).scale(2).terms[(0, 1)], {(0,): 1}),
+    ]
+    for poly, terms in cases:
+        assert poly.terms == terms
+        assert [type(c) for c in poly.terms.values()] == [type(c) for c in terms.values()]
+
+
 def test_weyl_product_builds_no_fraction(monkeypatch):
     # weyl1 y^8 * x^8 (64 table fills) has only integer coefficients, so
     # the int-first kernel builds no Fraction for it
