@@ -22,14 +22,15 @@ forms are the same as those of a word rewriter that does so, including
 on presentations whose relations are not confluent: a move past letters
 with no tail makes no tail, so the rewriter reaches the same scalar.
 An entry is a fixed function of the presentation, so the table lives
-on the presentation and every nf_mul call reads and extends it.  Filling
-it terminates because every tail lives in the subalgebra generated by
-strictly later generators; a cap of DEFAULT_BUDGET new fills per call,
-which happen only where a letter crosses a relation with a tail, and a
-check for fills that need their own result turn malformed tails into
-RewriteBudgetError.  A second table on the presentation says, for each
-pair of monomials multiplied so far, whether the pair is in order, moves
-by one scalar, or crosses a tail and so needs the right products.
+in its engine (_Engine), made on its first product, and every nf_mul
+call reads and extends it.  Filling it terminates because every tail
+lives in the subalgebra generated by strictly later generators; a cap
+of DEFAULT_BUDGET new fills per call, which happen only where a letter
+crosses a relation with a tail, and a check for fills that need their
+own result turn malformed tails into RewriteBudgetError.  A second
+table of the engine says, for each pair of monomials multiplied so
+far, whether the pair is in order, moves by one scalar, or crosses a
+tail and so needs the right products.
 """
 
 from __future__ import annotations
@@ -39,15 +40,15 @@ from operator import add, sub
 
 from .errors import QsolvError, RewriteBudgetError
 from .params import (
-    FracElem, Frozen, LaurentPoly, UnitMonomial, _as_exponent, _as_exponents, monomial_text,
-    normal_scalar, signed_sum, support, term_text, unit_product,
+    FracElem, Frozen, LaurentPoly, UnitMonomial, _as_exponent, _as_exponents, _set_field,
+    monomial_text, normal_scalar, signed_sum, support, term_text, unit_product,
 )
 
-# The most table fills one nf_mul call may add.  _RightTable reads it at
+# The most table fills one nf_mul call may add.  The engine reads it at
 # each fill, not at import, so a lowered value holds from the next call.
 DEFAULT_BUDGET = 10**6
 
-# The most entries a presentation keeps in each of its two product
+# The most entries a presentation's engine keeps in each of its two
 # tables between nf_mul calls; a call that leaves more clears that table.
 # A round of a benchmark workload, on any seed, peaks at 891 monomial
 # pairs (quantum_matrices(3) in products) and 270 right products (powers).
@@ -221,7 +222,7 @@ class NFElement(Frozen):
         return f"NFElement({self})"
 
 
-# -- the multiplication table ----------------------------------------------
+# -- the product engine ----------------------------------------------------
 
 
 def _last_letter(key, n):
@@ -240,19 +241,6 @@ def _word(key, n):
     return word
 
 
-def _tail_terms(pres, a, b):
-    """Tail of the (a, b) relation in the form fills read: a tuple of
-    (coefficient, ascending letter word, invertible exponents), kept in
-    ``pres._tailcache``."""
-    cached = pres._tailcache.get((a, b))
-    if cached is None:
-        n = pres.n
-        cached = pres._tailcache[(a, b)] = tuple(
-            (coef, tuple(_word(key, n)), key[n:])
-            for key, coef in pres.tails.get((a, b), {}).items())
-    return cached
-
-
 def _accumulate(out, key, coef):
     """out[key] += coef, dropping the key when the sum cancels."""
     if key in out:
@@ -263,40 +251,72 @@ def _accumulate(out, key, coef):
     out[key] = coef
 
 
-def _times_kblock(pres, terms, kvec):
-    """Right product of a term map with the ordered invertible block k^kvec."""
-    n = pres.n
-    right = (0,) * n + kvec
-    support_r = [n + t for t, e in enumerate(kvec) if e]
-    out = {}
-    for key, coef in terms.items():
-        unit = normal_scalar(pres.commutation_unit, key, right, pres.params,
-                             support(key), support_r)
-        _accumulate(out, tuple(map(add, key, right)), coef.times_unit(unit))
-    return out
+class _Engine:
+    """The product engine of one presentation, shared by its nf_mul calls.
 
-
-class _RightTable:
-    """Right products M * g_a, as one nf_mul call fills and reads them.
-
-    entries maps (M, a), with M an ordered monomial free of invertible
-    letters, to the normal form of M * g_a as a term map.  Only products
-    where g_a crosses a letter of M with a tail against it are stored;
-    the others are one scalar.  entries is the dict kept on the
-    presentation (``Presentation._rtable``), shared by every call, and
-    ``fills`` counts the entries this call adds, at most DEFAULT_BUDGET.
-    Only finished entries go into it: an entry being filled is in
-    ``pending``, local to the call, so a fill that asks for itself again
-    is caught at once and an interrupted call leaves no half-filled entry
-    behind.
+    It keeps only what it reads of the presentation, so the two form no
+    reference cycle and are freed without the cyclic collector.  Its
+    tables grow across calls: ``right_products`` maps (M, a), with M an
+    ordered monomial free of invertible letters, to M * g_a as a term
+    map, stored only where g_a crosses a letter of M with a tail against
+    it; ``pairs`` says how each pair of monomials met so far multiplies
+    (see pair_entry); ``tails`` holds each tail as (coefficient,
+    ascending letter word, invertible exponents).  ``fills`` counts the
+    right products a call adds, at most DEFAULT_BUDGET, and ``pending``
+    holds those it is filling, so a fill that needs itself is caught at
+    once and an interrupted call leaves no half-filled entry behind.
     """
 
+    __slots__ = ("n", "zero_k", "gens", "params", "cu", "tailed_after", "tails",
+                 "right_products", "pairs", "pending", "fills")
+
     def __init__(self, pres):
-        self.pres = pres
-        self.entries = pres._rtable
-        self.pending = set()
+        n = self.n = pres.n
+        self.zero_k, self.gens, self.params = (0,) * pres.m, pres.gens, pres.params
+        self.cu, self.tailed_after = pres._cu, pres._tailed_after
+        self.tails = {
+            pair: tuple((coef, tuple(_word(key, n)), key[n:]) for key, coef in body.items())
+            for pair, body in pres.tails.items()}
+        self.right_products, self.pairs, self.pending, self.fills = {}, {}, set(), 0
+
+    def begin(self):
+        """Start an nf_mul call: no fill made, none in progress."""
+        self.pending.clear()
         self.fills = 0
-        self.zero_k = (0,) * pres.m
+
+    def cap(self):
+        """End an nf_mul call: clear each table over _TABLE_CAP entries."""
+        for table in (self.right_products, self.pairs):
+            if len(table) > _TABLE_CAP:
+                table.clear()
+
+    def unit(self, a, b):
+        """Scalar u with g_a g_b = u * g_b g_a, as Presentation.commutation_unit."""
+        return self.cu[a][b]
+
+    def pair_entry(self, k1, k2):
+        """The ``pairs`` entry of monomials k1 and k2: None when k1 * k2
+        is in order, _TAILED when a polynomial letter of k1 comes after a
+        letter g_a of k2 and has a tail against it, else sigma(k1, k2),
+        the one scalar of a product whose crossing letters q-commute."""
+        s1, s2 = support(k1), support(k2)
+        if not s1 or not s2 or s1[-1] <= s2[0]:
+            return None
+        n, tailed = self.n, self.tailed_after
+        if any(k1[c] for a in s2 if a < n for c in tailed[a]):
+            return _TAILED
+        return normal_scalar(self.unit, k1, k2, self.params, s1, s2)
+
+    def times_kblock(self, terms, kvec):
+        """Right product of a term map with the ordered invertible block k^kvec."""
+        n = self.n
+        right = (0,) * n + kvec
+        support_r = [n + t for t, e in enumerate(kvec) if e]
+        out = {}
+        for key, coef in terms.items():
+            unit = normal_scalar(self.unit, key, right, self.params, support(key), support_r)
+            _accumulate(out, tuple(map(add, key, right)), coef.times_unit(unit))
+        return out
 
     def times_letter(self, terms, a):
         """Right product of a term map with polynomial letter a.
@@ -315,7 +335,7 @@ class _RightTable:
                 if not stack:
                     return done.value
                 self.pending.discard(need)
-                self.entries[need] = value = done.value
+                self.right_products[need] = value = done.value
                 continue
             self._start_fill(request)
             stack.append((request, self._fill(*request)))
@@ -332,8 +352,7 @@ class _RightTable:
                 self.pending.add(request)
                 return
         mono, a = request
-        gens = self.pres.gens
-        pair = f"{gens[_last_letter(mono, self.pres.n)]}*{gens[a]}"
+        pair = f"{self.gens[_last_letter(mono, self.n)]}*{self.gens[a]}"
         if looped:
             raise RewriteBudgetError(
                 f"rewriting {pair} needs its own result after {self.fills} "
@@ -352,8 +371,7 @@ class _RightTable:
         invertible or polynomial with no tail against g_a, moves g_a into
         place by one scalar; the rest move only the invertible block and
         take M * g_a from the table."""
-        pres, n = self.pres, self.pres.n
-        cu, tailed = pres._cu, pres._tailed_after[a]
+        n, cu, tailed = self.n, self.cu, self.tailed_after[a]
         out = {}
         for key, coef in terms.items():
             if not any(map(key.__getitem__, tailed)):
@@ -370,11 +388,11 @@ class _RightTable:
                 coef = coef.times_unit(
                     unit_product((cu[n + t][a], e) for t, e in enumerate(kvec) if e))
             mono = key[:n] + self.zero_k if shifted else key
-            entry = self.entries.get((mono, a))
+            entry = self.right_products.get((mono, a))
             if entry is None:
                 entry = yield (mono, a)
             if shifted:
-                entry = _times_kblock(pres, entry, kvec)
+                entry = self.times_kblock(entry, kvec)
             for ekey, ecoef in entry.items():
                 _accumulate(out, ekey, coef * ecoef)
         return out
@@ -386,51 +404,45 @@ class _RightTable:
             M * g_a = u^-1 (M' * g_a) * g_b - u^-1 M' * T_ab
 
         from g_a g_b = u g_b g_a + T_ab."""
-        pres = self.pres
-        b = _last_letter(mono, pres.n)
+        b = _last_letter(mono, self.n)
         prev = mono[:b] + (mono[b] - 1,) + mono[b + 1:]
-        u_inv = pres.commutation_unit(b, a).as_poly()  # the mirrored entry is u^-1
+        u_inv = self.cu[b][a].as_poly()  # the mirrored entry is u^-1
         swapped = yield from self._times_letter({prev: u_inv}, a)
         out = yield from self._times_letter(swapped, b)
-        for t_coef, t_word, t_kvec in _tail_terms(pres, a, b):
+        for t_coef, t_word, t_kvec in self.tails.get((a, b), ()):
             part = {prev: -u_inv * t_coef}
             for letter in t_word:
                 part = yield from self._times_letter(part, letter)
             if any(t_kvec):
-                part = _times_kblock(pres, part, t_kvec)
+                part = self.times_kblock(part, t_kvec)
             for key, coef in part.items():
                 _accumulate(out, key, coef)
         return out
 
 
-def _pair_entry(pres, k1, k2):
-    """The ``Presentation._pairs`` entry of monomials k1 and k2: None when
-    k1 * k2 is in order, _TAILED when a polynomial letter of k1 comes
-    after a letter g_a of k2 and has a tail against it, else sigma(k1,
-    k2), the one scalar of a product whose crossing letters q-commute."""
-    s1, s2 = support(k1), support(k2)
-    if not s1 or not s2 or s1[-1] <= s2[0]:
-        return None
-    n, tailed = pres.n, pres._tailed_after
-    if any(k1[c] for a in s2 if a < n for c in tailed[a]):
-        return _TAILED
-    return normal_scalar(pres.commutation_unit, k1, k2, pres.params, s1, s2)
+def _engine_of(pres):
+    """The engine of pres, made on its first product and kept in
+    ``Presentation._engine``."""
+    engine = pres._engine
+    if engine is None:
+        engine = _Engine(pres)
+        _set_field(pres, "_engine", engine)
+    return engine
 
 
 def nf_mul(left, right):
     """Product of two normal-form elements, again in normal form.
 
     Each pair of terms multiplies as monomials, by the pair's entry in
-    the table kept on the presentation (``Presentation._pairs``, see
-    _pair_entry), which a miss fills from the two supports.  A pair
-    whose crossing letters all q-commute, having no tail against each
-    other, is the sum of the exponent keys times one scalar, sigma(k1,
-    k2), applied as a shift of the coefficient's exponents
-    (``times_unit``); a pair already in order needs no scalar.
-    Otherwise the left monomial is multiplied on the right by the
-    letters of the right one, lowest first, through a table of right
-    products M * g_a (see _RightTable), and the invertible block of the
-    right monomial joins last.
+    the engine's pair table (see _Engine.pair_entry), which a miss fills
+    from the two supports.  A pair whose crossing letters all q-commute,
+    having no tail against each other, is the sum of the exponent keys
+    times one scalar, sigma(k1, k2), applied as a shift of the
+    coefficient's exponents (``times_unit``); a pair already in order
+    needs no scalar.  Otherwise the left monomial is multiplied on the
+    right by the letters of the right one, lowest first, through the
+    engine's table of right products M * g_a, and the invertible block
+    of the right monomial joins last.
 
     The call reads and extends both tables, so it fills only the entries
     no earlier call has, and DEFAULT_BUDGET caps its new right products.
@@ -440,35 +452,31 @@ def nf_mul(left, right):
     if left.pres is not right.pres:
         left._check(right)
     pres = left.pres
-    pairs, n = pres._pairs, pres.n
+    engine = _engine_of(pres)
+    engine.begin()
+    pairs, n = engine.pairs, engine.n
     rights = right.terms.items()
-    table = None
     out = {}
     for k1, c1 in left.terms.items():
         for k2, c2 in rights:
             try:
                 entry = pairs[k1, k2]
             except KeyError:
-                entry = pairs[k1, k2] = _pair_entry(pres, k1, k2)
+                entry = pairs[k1, k2] = engine.pair_entry(k1, k2)
             coef = c1 * c2
             if entry is not _TAILED:
                 if entry is not None:
                     coef = coef.times_unit(entry)
                 _accumulate(out, tuple(map(add, k1, k2)), coef)
                 continue
-            if table is None:
-                table = _RightTable(pres)
             terms = {k1: coef}
             for a in _word(k2, n):
-                terms = table.times_letter(terms, a)
+                terms = engine.times_letter(terms, a)
             if any(k2[n:]):
-                terms = _times_kblock(pres, terms, k2[n:])
+                terms = engine.times_kblock(terms, k2[n:])
             for key, c in terms.items():
                 _accumulate(out, key, c)
-    if len(pres._rtable) > _TABLE_CAP:
-        pres._rtable.clear()
-    if len(pairs) > _TABLE_CAP:
-        pairs.clear()
+    engine.cap()
     return NFElement._make(pres, out)
 
 

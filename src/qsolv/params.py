@@ -37,7 +37,7 @@ class Frozen:
     """
 
     __slots__ = ()
-    _memos = ()  # fields holding memo dicts, which copies start empty
+    _memos = ()  # memo fields, made on first use; copies start them at None
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -50,7 +50,7 @@ class Frozen:
         fields = dict(getattr(self, "__dict__", ()))
         for cls in type(self).__mro__:
             fields.update((f, getattr(self, f)) for f in cls.__dict__.get("__slots__", ()))
-        fields.update((f, {}) for f in self._memos)
+        fields.update((f, None) for f in self._memos)
         return _rebuild, (type(self), fields)
 
 

@@ -86,22 +86,16 @@ def _coerce_unit(params, value, where):
 class Presentation(Frozen):
     """Generators, commutation scalars, tails and weight data.
 
-    Immutable; mutating helpers return fresh instances.  Three memo
-    dicts are filled in place by the product engine: ``_tailcache`` holds
-    the tails in the form its fills read (see normalform._tail_terms),
-    ``_rtable`` the right products M * g_a that nf_mul calls share (see
-    normalform._RightTable), and ``_pairs`` how each pair of monomials
-    multiplies: in order, by one scalar, or across a tail (see
-    normalform._pair_entry).  Copies and pickles start them empty, and
-    equality ignores them.
+    Immutable; mutating helpers return fresh instances.  ``_engine`` holds
+    the product engine (normalform._Engine) from the first product on;
+    copies and pickles start without it, and equality ignores it.
     ``_tailed_after[a]`` lists the later polynomial letters c whose
     relation with g_a has a tail; every other letter q-commutes with g_a.
     """
 
     __slots__ = ("name", "params", "gens", "n", "m", "_index", "qmat", "_cu",
-                 "tails", "_tailed_after", "qskew", "hweights", "_tailcache", "_rtable",
-                 "_pairs")
-    _memos = ("_tailcache", "_rtable", "_pairs")
+                 "tails", "_tailed_after", "qskew", "hweights", "_engine")
+    _memos = ("_engine",)
 
     def __init__(self, name, params, gens, npoly, *, qmat=None, tails=None,
                  qskew=None, hweights=None):
@@ -201,9 +195,7 @@ class Presentation(Frozen):
             tuple(c for c in range(a + 1, n) if (a, c) in clean_tails) for a in range(n)))
         _set_field(self, "qskew", qskew)
         _set_field(self, "hweights", tuple(tuple(r) for r in rows))
-        _set_field(self, "_tailcache", {})
-        _set_field(self, "_rtable", {})
-        _set_field(self, "_pairs", {})
+        _set_field(self, "_engine", None)
 
     # -- lookups ---------------------------------------------------------
 

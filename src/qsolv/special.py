@@ -16,8 +16,8 @@ from math import gcd
 from . import densepoly
 from .errors import SpecializationError
 from .params import (
-    ExactValue, FracElem, Frozen, LaurentPoly, UnitMonomial, _set_field, gamma_torsionfree,
-    monomial_text, signed_sum, term_text,
+    ExactValue, FracElem, Frozen, LaurentPoly, UnitMonomial, _as_coef, _as_exponent, _set_field,
+    gamma_torsionfree, monomial_text, signed_sum, term_text,
 )
 from .presentation import (
     Finding,
@@ -187,13 +187,13 @@ class SpecTarget(Frozen):
         _set_field(self, "values", values)
         _set_field(self, "order", order)
         _set_field(self, "exponents", exponents)
-        _set_field(self, "_roots", {})  # (sign, k) -> sign * zeta^k, filled in place
+        _set_field(self, "_roots", None)  # (sign, k) -> sign * zeta^k, made on first use
 
     @classmethod
     def rational(cls, values):
         clean = {}
         for name, v in dict(values).items():
-            v = Fraction(v)
+            v = Fraction(_as_coef(v))
             if not v:
                 raise SpecializationError(
                     f"parameter {name} must stay a unit; zero is not allowed"
@@ -203,8 +203,9 @@ class SpecTarget(Frozen):
 
     @classmethod
     def cyclotomic(cls, order, exponents):
+        order = _as_exponent(order)
         cyclotomic_polynomial(order)  # rejects an unsupported order
-        exps = {name: int(e) % order for name, e in dict(exponents).items()}
+        exps = {name: _as_exponent(e) % order for name, e in dict(exponents).items()}
         return cls("cyclotomic", order=order, exponents=exps)
 
     @classmethod
@@ -252,10 +253,14 @@ class SpecTarget(Frozen):
         if sign < 0 and N % 2 == 0:
             k, sign = k + N // 2, 1
         key = (sign, k % N)
-        value = self._roots.get(key)
+        roots = self._roots
+        if roots is None:
+            roots = {}
+            _set_field(self, "_roots", roots)
+        value = roots.get(key)
         if value is None:
             value = CycNumber.zeta(N, key[1])
-            value = self._roots[key] = value if sign > 0 else -value
+            value = roots[key] = value if sign > 0 else -value
         return value
 
     def _zeta_exponent(self, params, exps):

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from . import intlinalg
 from .errors import LatticeError
-from .params import Frozen, UnitMonomial, _set_field, normal_scalar, support
+from .params import (
+    Frozen, UnitMonomial, _as_exponent, _as_exponents, _set_field, normal_scalar, support,
+)
 
 
 class TorusPresentation(Frozen):
@@ -21,11 +23,13 @@ class TorusPresentation(Frozen):
     __slots__ = ("rank", "params", "pmat", "_pairs", "_one")
 
     def __init__(self, rank, params, pmat):
+        rank = _as_exponent(rank)
         if rank < 0:
             raise ValueError("rank must be nonnegative")
         params = tuple(params)
         clean = {}
         for (i, j), unit in dict(pmat).items():
+            i, j = _as_exponents((i, j))
             if not 0 <= i < j < rank:
                 raise ValueError(f"pair ({i}, {j}) out of range for rank {rank}")
             if not isinstance(unit, UnitMonomial):
@@ -235,6 +239,7 @@ def root_of_unity_structure(P, N):
     and rank = [Z^n : K], the rank of the specialized torus over its
     center.  Every p_ij must be a power of one common parameter.
     """
+    N = _as_exponent(N)
     if N < 1:
         raise LatticeError("root-of-unity order must be positive")
     _reject_signs(P, "the root-of-unity analysis")

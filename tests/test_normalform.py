@@ -26,6 +26,7 @@ from qsolv import (
 )
 from qsolv import normalform
 from qsolv.normalform import q_binomial_at_unit
+from test_mul_table import engine
 
 
 @pytest.fixture
@@ -195,7 +196,7 @@ def test_leibniz_rejects_early_letters(weyl):
 def test_budget_exhaustion(weyl, monkeypatch):
     big = weyl.monomial((4, 4))
     monkeypatch.setattr(normalform, "DEFAULT_BUDGET", 3)
-    weyl._rtable.clear()
+    engine(weyl).right_products.clear()
     with pytest.raises(RewriteBudgetError, match="exceeded 3 table fills"):
         nf_mul(big, big)
 

@@ -223,6 +223,29 @@ def test_spec_target_rejects_degenerate_values():
         t.assignment(("q", "r"))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: SpecTarget.rational({"q": 0.1}),
+    lambda: SpecTarget.cyclotomic(5, {"q": 1.5}),
+    lambda: SpecTarget.cyclotomic(5.0, {"q": 1}),
+], ids=["rational", "exponent", "order"])
+def test_spec_target_rejects_floats(make):
+    # these stored 3602879701896397/36028797018963968, used zeta^1 and
+    # printed zeta_5.0: q=zeta^1.0
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_spec_target_reads_ints_and_fractions_exactly():
+    rational = SpecTarget.rational({"q": 3, "r": F(-2, 3)})
+    assert rational.values == {"q": F(3), "r": F(-2, 3)}
+    assert all(type(v) is Fraction for v in rational.values.values())
+    assert repr(rational) == "SpecTarget(rational: q=3, r=-2/3)"
+    cyclotomic = SpecTarget.cyclotomic(F(5), {"q": F(7), "r": -1})
+    assert (cyclotomic.order, cyclotomic.exponents) == (5, {"q": 2, "r": 4})
+    assert type(cyclotomic.order) is int
+    assert repr(cyclotomic) == "SpecTarget(zeta_5: q=zeta^2, r=zeta^4)"
+
+
 @pytest.mark.parametrize(
     "values, expected",
     [
@@ -445,4 +468,4 @@ def test_spec_target_pickles_without_its_roots():
     assert target._roots
     assert len(pickle.dumps(target)) == size
     dup = pickle.loads(pickle.dumps(target))
-    assert dup._roots == {} and dup.unit_value(unit) == value
+    assert dup._roots is None and dup.unit_value(unit) == value

@@ -1,6 +1,7 @@
 """Quantum torus commutation data and center lattices."""
 
 import random
+from fractions import Fraction as F
 
 import pytest
 
@@ -243,6 +244,29 @@ def test_root_of_unity_structure():
         assert rank == N * N
     with pytest.raises(Exception):
         root_of_unity_structure(P, 0)
+
+
+NOT_INTEGERS = [
+    ("N", lambda: root_of_unity_structure(rank2_torus(), 2.5)),
+    ("rank", lambda: TorusPresentation(2.5, Q, {})),
+    ("pair", lambda: TorusPresentation(2, Q, {(0.0, 1): qu()})),
+]
+
+
+@pytest.mark.parametrize("make", [m for _, m in NOT_INTEGERS], ids=[i for i, _ in NOT_INTEGERS])
+def test_sizes_and_indices_must_be_integers(make):
+    # N = 2.5 gave LatticeSubgroup(2, [[5.0, 0.0], [0.0, 5.0]]) of index
+    # 25.0, a rank of 2.5 was accepted, and the pair (0.0, 1) printed p1.02
+    with pytest.raises(TypeError, match="expected an integer exponent"):
+        make()
+
+
+def test_integral_fractions_read_as_ints():
+    P = TorusPresentation(F(2), Q, {(F(0), F(1)): qu()})
+    assert P == rank2_torus() and repr(P) == "TorusPresentation(rank 2: p12=q)"
+    assert type(P.rank) is int and all(type(i) is int for pair in P.pmat for i in pair)
+    K, rank = root_of_unity_structure(P, F(5))
+    assert K.basis == ((5, 0), (0, 5)) and type(rank) is int and rank == 25
 
 
 def test_root_of_unity_no_parameters():
