@@ -223,6 +223,24 @@ def test_weights_command(tmp_path, capsys):
     assert len(out) == 3
 
 
+def test_weights_report(tmp_path, capsys):
+    path = write_presentation(tmp_path, quantum_weyl(1), "weyl")
+    report = tmp_path / "report.txt"
+    assert run_command(["weights", path, "x + y*x", "--out", str(report)]) == 0
+    assert capsys.readouterr().out == (
+        "components: 2\nweight (c^-1, 1): x\nweight (1, 1): y*x\n")
+    assert report.read_text().splitlines() == [
+        "algebra: quantum_weyl",
+        "command: weights",
+        "component.01.element: x",
+        "component.01.weight: (c^-1, 1)",
+        "component.02.element: y*x",
+        "component.02.weight: (1, 1)",
+        "components: 2",
+        "status: 0",
+    ]
+
+
 def test_adjoint_command(tmp_path, capsys):
     path = write_presentation(tmp_path, quantum_weyl(1), "weyl")
     assert run_command(["adjoint", path, "y", "x"]) == 0
@@ -277,6 +295,28 @@ def test_center_command(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "G = <[0, 0, 1]>; center = C[Y^m : m in G]"
     assert "commutation 1 2: q" in out
+
+
+def test_center_report(tmp_path, capsys):
+    torus = tmp_path / "torus.alg"
+    torus.write_text(
+        "algebra T\nparams q\n"
+        "gens k1 laurent, k2 laurent, k3 laurent\ncommute k1 k2 : q\n"
+    )
+    report = tmp_path / "report.txt"
+    assert run_command(["center", str(torus), "--out", str(report)]) == 0
+    capsys.readouterr()
+    assert report.read_text().splitlines() == [
+        "algebra: T",
+        "basis.01: [1, 0, 0]",
+        "basis.02: [0, 1, 0]",
+        "basis.03: [0, 0, 1]",
+        "center.basis.01: [0, 0, 1]",
+        "center.rank: 1",
+        "command: center",
+        "form.12: q",
+        "status: 0",
+    ]
 
 
 def test_center_trivial(tmp_path, capsys):
@@ -470,6 +510,13 @@ def test_compositions_command(capsys):
     assert out[0] == "(3)"
     assert out[-1] == "count: 8"
     assert len(out) == 9
+
+
+def test_compositions_report(tmp_path, capsys):
+    report = tmp_path / "report.txt"
+    assert run_command(["compositions", "3", "--out", str(report)]) == 0
+    capsys.readouterr()
+    assert report.read_text() == "command: compositions\ncount: 8\nn: 3\nstatus: 0\n"
 
 
 def test_compositions_rejects_negative(capsys):

@@ -3,13 +3,19 @@
 
 Each ``tests/data/NAME.alg`` has a ``NAME.golden`` beside it that holds,
 for every command run on the file, the command line, the exact stdout,
-the stderr of a run that exits nonzero (each line behind ``stderr: ``)
-and the exit code:
+the stderr of a run that exits nonzero (each line behind ``stderr: ``),
+the exit code and the ``--out`` report of the same run (each line behind
+``report: ``; none when the run writes no report):
 
     $ qsolv specialize NAME.alg --param q=2
     target: SpecTarget(rational: q=2)
     all checks pass at the target
     exit 0
+    report: algebra: NAME
+    report: command: specialize
+    report: passed: true
+    report: status: 0
+    report: target: SpecTarget(rational: q=2)
 
     $ qsolv stratify NAME.alg
     stderr: unsupported: ...
@@ -22,6 +28,7 @@ After a deliberate output change, rewrite the transcripts with
 import io
 import shlex
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -33,6 +40,7 @@ DATA = Path(__file__).parent / "data"
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 PROMPT = "$ qsolv "
 STDERR = "stderr: "
+REPORT = "report: "
 # (localized generator, element) of the adjoint runs, by fixture stem
 ADJOINT = {
     "weyl1": (("y", "x^5"), ("x", "y^3"),
@@ -67,27 +75,37 @@ def commands(path):
 
 
 def run(argv):
-    """(stdout, stderr, exit code) of one in-process qsolv call on a data
-    file; stderr is kept only when the exit code is nonzero."""
+    """(stdout, stderr, exit code, report) of one in-process qsolv call on
+    a data file with ``--out``; stderr is kept only when the exit code is
+    nonzero, and the report is "" when the run writes none."""
     cmd, name, *rest = argv
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        status = run_command([cmd, str(DATA / name), *rest])
-    return out.getvalue(), err.getvalue() if status else "", status
+    with tempfile.TemporaryDirectory() as tmp:
+        report = Path(tmp) / "report.txt"
+        with redirect_stdout(out), redirect_stderr(err):
+            status = run_command([cmd, str(DATA / name), *rest, "--out", str(report)])
+        written = report.read_text() if report.exists() else ""
+    return out.getvalue(), err.getvalue() if status else "", status, written
 
 
 def transcript(argv):
-    out, err, status = run(argv)
+    out, err, status, report = run(argv)
     err = "".join(STDERR + line for line in err.splitlines(keepends=True))
-    return f"{PROMPT}{shlex.join(argv)}\n{out}{err}exit {status}\n"
+    report = "".join(REPORT + line for line in report.splitlines(keepends=True))
+    return f"{PROMPT}{shlex.join(argv)}\n{out}{err}exit {status}\n{report}"
 
 
 def read_golden(path):
-    """[(argv, stdout, stderr, exit code)] in file order."""
+    """[(argv, stdout, stderr, exit code, report)] in file order."""
     entries = []
     for block in path.read_text().split(PROMPT)[1:]:
         head, _, body = block.partition("\n")
         lines = body.rstrip("\n").split("\n")
+        end = len(lines)
+        while lines[end - 1].startswith(REPORT):
+            end -= 1
+        report = "".join(line[len(REPORT):] + "\n" for line in lines[end:])
+        lines = lines[:end]
         assert lines[-1].startswith("exit "), f"{path.name}: {head}"
         lines, status = lines[:-1], int(lines[-1][5:])
         cut = len(lines)
@@ -95,14 +113,14 @@ def read_golden(path):
             cut -= 1
         stdout = "".join(line + "\n" for line in lines[:cut])
         stderr = "".join(line[len(STDERR):] + "\n" for line in lines[cut:])
-        entries.append((shlex.split(head), stdout, stderr, status))
+        entries.append((shlex.split(head), stdout, stderr, status, report))
     return entries
 
 
 CASES = [
-    pytest.param(argv, stdout, stderr, status, id=shlex.join(argv))
+    pytest.param(argv, stdout, stderr, status, report, id=shlex.join(argv))
     for golden in sorted(DATA.glob("*.golden"))
-    for argv, stdout, stderr, status in read_golden(golden)
+    for argv, stdout, stderr, status, report in read_golden(golden)
 ]
 
 
@@ -114,9 +132,9 @@ def test_every_fixture_has_a_transcript():
         assert recorded == commands(alg)
 
 
-@pytest.mark.parametrize("argv, stdout, stderr, status", CASES)
-def test_golden_transcript(argv, stdout, stderr, status):
-    assert run(argv) == (stdout, stderr, status)
+@pytest.mark.parametrize("argv, stdout, stderr, status, report", CASES)
+def test_golden_transcript(argv, stdout, stderr, status, report):
+    assert run(argv) == (stdout, stderr, status, report)
 
 
 def test_tail_order_does_not_change_output():
