@@ -493,58 +493,40 @@ def _load(path):
                          f"({exc.reason} at byte {exc.start})", 0, 0)
 
 
-def _report_write(path, pairs):
-    """Write the --out report; False, with the reason on stderr, when the
-    path cannot be written."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for key, value in sorted(pairs):
-                fh.write(f"{key}: {value}\n")
-    except OSError as exc:
-        print(f"error: cannot write {path}: {exc.strerror}", file=sys.stderr)
-        return False
-    return True
+# Each command returns its exit status and its rows.  A row is a stdout
+# line, or None for a row that prints nothing, followed by its report
+# pairs (key, value); each value is formatted once, for both outputs.
 
-
-def _cmd_validate(args, out, report):
+def _cmd_validate(args):
     p = parse_presentation(_load(args.file))
     result = validate_presentation(p)
-    report.append(("algebra", p.name))
-    by_cond = {}
-    for f in result.findings:
-        by_cond.setdefault(f.condition, []).append(f)
+    rows = []
     for cond in ("WF", "Q1", "Q2", "Q3"):
-        findings = by_cond.pop(cond, [])
+        findings = [f for f in result.findings if f.condition == cond]
         errors = [f for f in findings if f.severity == "error"]
-        if not errors:
-            out.append(f"{cond} OK")
-            report.append((f"check.{cond}", "ok"))
+        if errors:
+            rows.append((None, (f"check.{cond}", "fail")))
+            rows += [(f"{cond} FAIL: {f.message} [{f.location}]",) for f in errors]
         else:
-            for f in errors:
-                out.append(f"{cond} FAIL: {f.message} [{f.location}]")
-            report.append((f"check.{cond}", "fail"))
-        for f in findings:
-            if f.severity != "error":
-                out.append(f"{cond} note: {f.message}")
-    report.append(("passed", str(result.passed).lower()))
-    return 0 if result.passed else 1
+            rows.append((f"{cond} OK", (f"check.{cond}", "ok")))
+        rows += [(f"{cond} note: {f.message}",)
+                 for f in findings if f.severity != "error"]
+    rows.append((None, ("algebra", p.name), ("passed", str(result.passed).lower())))
+    return (0 if result.passed else 1), rows
 
 
-def _cmd_weights(args, out, report):
+def _cmd_weights(args):
     from .weights import weight_components
 
     p = parse_presentation(_load(args.file))
-    element = parse_element(p, args.element)
-    comps = weight_components(element)
-    report.append(("algebra", p.name))
-    report.append(("components", str(len(comps))))
-    out.append(f"components: {len(comps)}")
+    comps = weight_components(parse_element(p, args.element))
+    count = str(len(comps))
+    rows = [(f"components: {count}", ("algebra", p.name), ("components", count))]
     for idx, (weight, comp) in enumerate(comps, 1):
-        wtxt = ", ".join(str(u) for u in weight)
-        out.append(f"weight ({wtxt}): {comp}")
-        report.append((f"component.{idx:02d}.weight", f"({wtxt})"))
-        report.append((f"component.{idx:02d}.element", str(comp)))
-    return 0
+        wtxt, ctxt = f"({', '.join(map(str, weight))})", str(comp)
+        rows.append((f"weight {wtxt}: {ctxt}", (f"component.{idx:02d}.weight", wtxt),
+                     (f"component.{idx:02d}.element", ctxt)))
+    return 0, rows
 
 
 def _minpoly_str(coeffs):
@@ -557,99 +539,89 @@ def _minpoly_str(coeffs):
     )
 
 
-def _cmd_adjoint(args, out, report):
+def _cmd_adjoint(args):
     from .adjoint import ad_eigencomponents
 
     if args.degree_cap < 0:
         raise ParseError("--degree-cap must be nonnegative", 0, 0)
     p = parse_presentation(_load(args.file))
-    report.append(("algebra", p.name))
     try:
         xidx = p.position(args.xgen)
     except PresentationError:
         raise ParseError(f"unknown generator {args.xgen!r}", 0, 0)
     element = parse_element(p, args.element)
+    rows = [(None, ("algebra", p.name))]
     try:
         spec = ad_eigencomponents(p, xidx, element, args.degree_cap)
     except RepeatedRootError as exc:
-        out.append(f"repeated eigenvalue {exc.root}; no spectral split")
-        report.append(("repeated_root", str(exc.root)))
-        return 1
-    report.append(("degree", str(spec.degree)))
-    out.append(f"minimal polynomial: {_minpoly_str(spec.minpoly)}")
-    report.append(("minpoly", _minpoly_str(spec.minpoly)))
+        root = str(exc.root)
+        rows.append((f"repeated eigenvalue {root}; no spectral split",
+                     ("repeated_root", root)))
+        return 1, rows
+    minpoly = _minpoly_str(spec.minpoly)
+    rows.append((f"minimal polynomial: {minpoly}", ("minpoly", minpoly),
+                 ("degree", str(spec.degree))))
     for idx, (root, comp) in enumerate(zip(spec.roots, spec.components), 1):
-        out.append(f"eigenvalue {root}: {comp}")
-        report.append((f"root.{idx:02d}", str(root)))
-        report.append((f"component.{idx:02d}", str(comp)))
-    return 0
+        root, comp = str(root), str(comp)
+        rows.append((f"eigenvalue {root}: {comp}", (f"root.{idx:02d}", root),
+                     (f"component.{idx:02d}", comp)))
+    return 0, rows
 
 
-def _cmd_center(args, out, report):
+def _cmd_center(args):
     from .torus import center_lattice, compatible_basis, torus_of_presentation
 
     p = parse_presentation(_load(args.file))
     if p.n != 0:
-        raise FamilyError(
-            "the center command expects a torus (all generators laurent)"
-        )
+        raise FamilyError("the center command expects a torus (all generators laurent)")
     torus = torus_of_presentation(p, range(p.m))
     G = center_lattice(torus)
     desc = compatible_basis(G, p.m, torus)
-    report.append(("algebra", p.name))
-    report.append(("center.rank", str(G.rank)))
-    if G.is_zero():
-        out.append("G = {0}; center = C")
-    else:
-        cols = ", ".join(str(list(c)) for c in G.basis)
-        out.append(f"G = <{cols}>; center = C[Y^m : m in G]")
-        for idx, col in enumerate(G.basis, 1):
-            report.append((f"center.basis.{idx:02d}", str(list(col))))
+    cols = [str(list(col)) for col in G.basis]
+    rows = [("G = {0}; center = C" if G.is_zero() else
+             f"G = <{', '.join(cols)}>; center = C[Y^m : m in G]",
+             ("algebra", p.name), ("center.rank", str(G.rank)),
+             *((f"center.basis.{idx:02d}", col) for idx, col in enumerate(cols, 1)))]
     for idx, col in enumerate(desc.changeOfBasis, 1):
-        out.append(f"new generator {idx}: Y^{list(col)}")
-        report.append((f"basis.{idx:02d}", str(list(col))))
+        col = str(list(col))
+        rows.append((f"new generator {idx}: Y^{col}", (f"basis.{idx:02d}", col)))
     form = desc.quotientForm or {}
     for (a, b) in sorted(form):
-        out.append(f"commutation {a + 1} {b + 1}: {form[(a, b)]}")
-        report.append((f"form.{a + 1}{b + 1}", str(form[(a, b)])))
-    return 0
+        unit = str(form[(a, b)])
+        rows.append((f"commutation {a + 1} {b + 1}: {unit}",
+                     (f"form.{a + 1}{b + 1}", unit)))
+    return 0, rows
 
 
-def _cmd_stratify(args, out, report):
+def _cmd_stratify(args):
     from .strat import stratify_affine, stratify_rank2
 
     p = parse_presentation(_load(args.file))
-    report.append(("algebra", p.name))
+    rows = [(None, ("algebra", p.name))]
     if p.has_tails:
         rs = stratify_rank2(p)
-        out.append(f"u = {rs.uNormalForm}")
-        excl = ", ".join(str(v) for v in rs.exceptionalSet)
-        out.append(f"exceptional parameter values: {{{excl}}}")
+        u = str(rs.uNormalForm)
+        excl = f"{{{', '.join(map(str, rs.exceptionalSet))}}}"
+        rows += [(f"u = {u}", ("u", u), ("strata", "M1, M2")),
+                 (f"exceptional parameter values: {excl}", ("exceptional", excl))]
         if rs.residualFactor is not None:
-            out.append(f"residual factor: {rs.residualFactor}")
+            rows.append((f"residual factor: {rs.residualFactor}",))
         if rs.weylAtOne:
-            out.append(f"at {p.params[0]} = 1 the fiber is a Weyl algebra")
-        for s in rs.strata:
-            out.append(f"{s.label}: {s.description}")
-        report.append(("u", str(rs.uNormalForm)))
-        report.append(("exceptional", f"{{{excl}}}"))
-        report.append(("strata", "M1, M2"))
-        return 0
+            rows.append((f"at {p.params[0]} = 1 the fiber is a Weyl algebra",))
+        rows += [(f"{s.label}: {s.description}",) for s in rs.strata]
+        return 0, rows
     strata = stratify_affine(p)
-    out.append(f"strata: {len(strata)}")
-    report.append(("strata", str(len(strata))))
+    rows.append((f"strata: {len(strata)}", ("strata", str(len(strata)))))
     for idx, s in enumerate(strata, 1):
-        comp = ", ".join(str(i) for i in s.composition)
-        vanish = ", ".join(s.vanishing) or "-"
-        invert = ", ".join(s.inverted) or "-"
-        out.append(
-            f"({comp}): vanish {{{vanish}}}, invert {{{invert}}}, "
-            f"torus rank {s.torus.rank}"
-        )
-        report.append((f"stratum.{idx:02d}.composition", f"({comp})"))
-        report.append((f"stratum.{idx:02d}.vanishing", f"{{{vanish}}}"))
-        report.append((f"stratum.{idx:02d}.inverted", f"{{{invert}}}"))
-    return 0
+        comp = f"({', '.join(map(str, s.composition))})"
+        vanish = f"{{{', '.join(s.vanishing) or '-'}}}"
+        invert = f"{{{', '.join(s.inverted) or '-'}}}"
+        rows.append((f"{comp}: vanish {vanish}, invert {invert}, "
+                     f"torus rank {s.torus.rank}",
+                     (f"stratum.{idx:02d}.composition", comp),
+                     (f"stratum.{idx:02d}.vanishing", vanish),
+                     (f"stratum.{idx:02d}.inverted", invert)))
+    return 0, rows
 
 
 def _parse_assignments(pairs):
@@ -671,7 +643,7 @@ def _parse_assignments(pairs):
     return values
 
 
-def _cmd_specialize(args, out, report):
+def _cmd_specialize(args):
     from .special import SpecTarget, specialize_presentation
 
     p = parse_presentation(_load(args.file))
@@ -702,22 +674,20 @@ def _cmd_specialize(args, out, report):
         # no assignment given: check the generic point
         target = SpecTarget.transcendental()
     sp = specialize_presentation(p, target)
-    report.append(("algebra", p.name))
-    report.append(("target", repr(target)))
-    out.append(f"target: {target!r}")
-    if sp.findings.findings:
-        for idx, f in enumerate(sp.findings.findings, 1):
-            tag = "note" if f.severity != "error" else "FAIL"
-            text = f"{f.message} [{f.location}]"
-            out.append(f"{f.condition} {tag}: {text}")
-            report.append((f"finding.{idx:02d}.{f.condition}", text))
-    else:
-        out.append("all checks pass at the target")
-    report.append(("passed", str(sp.passed).lower()))
-    return 0 if sp.passed else 1
+    target = repr(target)
+    rows = [(f"target: {target}", ("algebra", p.name), ("target", target))]
+    for idx, f in enumerate(sp.findings.findings, 1):
+        tag = "note" if f.severity != "error" else "FAIL"
+        text = f"{f.message} [{f.location}]"
+        rows.append((f"{f.condition} {tag}: {text}",
+                     (f"finding.{idx:02d}.{f.condition}", text)))
+    if not sp.findings.findings:
+        rows.append(("all checks pass at the target",))
+    rows.append((None, ("passed", str(sp.passed).lower())))
+    return (0 if sp.passed else 1), rows
 
 
-def _cmd_compositions(args, out, report):
+def _cmd_compositions(args):
     from .strat import admissible_compositions
 
     if args.n < 0:
@@ -726,12 +696,10 @@ def _cmd_compositions(args, out, report):
         # all 2^n compositions are built before the first line prints
         raise ParseError("n must be at most 16", 0, 0)
     comps = admissible_compositions(args.n)
-    for comp in comps:
-        out.append("(" + ", ".join(str(i) for i in comp) + ")")
-    out.append(f"count: {len(comps)}")
-    report.append(("n", str(args.n)))
-    report.append(("count", str(len(comps))))
-    return 0
+    rows = [(f"({', '.join(map(str, comp))})",) for comp in comps]
+    count = str(len(comps))
+    rows.append((f"count: {count}", ("n", str(args.n)), ("count", count)))
+    return 0, rows
 
 
 def _build_parser():
@@ -780,10 +748,8 @@ def run_command(argv):
     """Execute one CLI invocation; returns the exit status."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    out = []
-    report = [("command", args.command)]
     try:
-        status = args.handler(args, out, report)
+        status, rows = args.handler(args)
     except ParseError as exc:
         if exc.line:
             print(f"parse error at line {exc.line}, column {exc.column}: "
@@ -800,10 +766,18 @@ def run_command(argv):
     except QsolvError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    for line in out:
-        print(line)
-    report.append(("status", str(status)))
-    if args.out and not _report_write(args.out, report):
+    for line, *_ in rows:
+        if line is not None:
+            print(line)
+    if not args.out:
+        return status
+    report = [("command", args.command), ("status", str(status))]
+    report += [pair for _, *pairs in rows for pair in pairs]
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.writelines(f"{key}: {value}\n" for key, value in sorted(report))
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
         return 2
     return status
 
