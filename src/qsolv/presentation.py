@@ -246,6 +246,7 @@ class Presentation(Frozen):
         return self.gen(self.position(name))
 
     def gen_power(self, pos, power):
+        pos = _as_exponent(pos)
         if not 0 <= pos < len(self.gens):
             raise PresentationError(
                 f"generator position {pos} is outside 0..{len(self.gens) - 1}"

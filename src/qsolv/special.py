@@ -39,6 +39,7 @@ def cyclotomic_polynomial(N):
     Computed by dividing z^N - 1 by the cyclotomic polynomials of the
     proper divisors of N.
     """
+    N = _as_exponent(N)
     if N < 1:
         raise SpecializationError("root-of-unity order must be positive")
     if N > MAX_CYCLOTOMIC_ORDER:
@@ -65,6 +66,7 @@ class CycNumber(ExactValue):
     __slots__ = ("N", "vec")
 
     def __init__(self, N, vec):
+        N = _as_exponent(N)
         phi = cyclotomic_polynomial(N)
         dense = [Fraction(v) for v in vec]
         if len(dense) >= len(phi):
@@ -79,7 +81,8 @@ class CycNumber(ExactValue):
 
     @classmethod
     def zeta(cls, N, power=1):
-        power %= N
+        N = _as_exponent(N)
+        power = _as_exponent(power) % N
         return cls(N, [Fraction(0)] * power + [Fraction(1)])
 
     def is_zero(self):
@@ -144,7 +147,7 @@ class CycNumber(ExactValue):
         return other * self.inverse()
 
     def __pow__(self, n):
-        n = int(n)
+        n = _as_exponent(n)
         if n < 0:
             return self.inverse() ** (-n)
         result = CycNumber.const(self.N, 1)

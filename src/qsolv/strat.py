@@ -19,7 +19,7 @@ from math import isqrt
 
 from . import densepoly
 from .errors import FamilyError, QsolvError
-from .params import Frozen, FrozenRecord, LaurentPoly, UnitMonomial, _set_field
+from .params import Frozen, FrozenRecord, LaurentPoly, UnitMonomial, _as_exponent, _set_field
 from .presentation import Presentation
 
 
@@ -30,6 +30,7 @@ def admissible_compositions(n):
     There are 2^n of them: k slots choose which of the n units separate
     the blocks.  For n = 0 the single composition is normalized to (0,).
     """
+    n = _as_exponent(n)
     if n < 0:
         raise ValueError("n must be nonnegative")
     out = []

@@ -84,6 +84,12 @@ class LatticeSubgroup(Frozen):
     __slots__ = ("dim", "basis")
 
     def __init__(self, dim, vectors):
+        dim = _as_exponent(dim)
+        vectors = [_as_exponents(v) for v in vectors]
+        if dim < 0:
+            raise ValueError("dimension must be nonnegative")
+        if any(len(v) != dim for v in vectors):
+            raise ValueError("vector width does not match dimension")
         _set_field(self, "dim", dim)
         _set_field(self, "basis", intlinalg.hnf_columns(dim, vectors))
 

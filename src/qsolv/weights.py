@@ -8,12 +8,21 @@ components, and ideal generator lists can be refined componentwise.
 from __future__ import annotations
 
 from .normalform import NFElement
+from .params import _as_exponents
 
 
 def monomial_weight(p, key):
     """Weight vector of one exponent key: the tuple of eigenvalues of
-    tau_1..tau_n on the monomial."""
-    key = tuple(key)
+    tau_1..tau_n on the monomial.  The key is read exactly and needs one
+    exponent per generator."""
+    key = _as_exponents(key)
+    if len(key) != p.n + p.m:
+        raise ValueError("exponent key width does not match presentation")
+    return _key_weight(p, key)
+
+
+def _key_weight(p, key):
+    # an element's own keys are trusted: exact and of full width
     return tuple(p.key_weight(h, key) for h in range(p.n))
 
 
@@ -27,7 +36,7 @@ def weight_components(a):
     p = a.pres
     buckets = {}
     for key, coef in a.terms.items():
-        w = monomial_weight(p, key)
+        w = _key_weight(p, key)
         buckets.setdefault(w, {})[key] = coef
     items = [(w, NFElement._make(p, terms)) for w, terms in buckets.items()]
     items.sort(key=lambda pair: tuple((u.sign, u.exps) for u in pair[0]))

@@ -239,6 +239,14 @@ def test_generator_positions_are_checked(pos):
         p.gen_power(pos, -1)
 
 
+def test_generator_positions_are_read_exactly():
+    # a float position raised "list indices must be integers"
+    p = quantum_plane()
+    with pytest.raises(TypeError, match="expected an integer exponent"):
+        p.gen_power(1.0, 2)
+    assert p.gen_power(Fraction(1), 2) == p.gen_power(1, 2)
+
+
 def test_replace_tail_breaks_homogeneity():
     p = quantum_weyl(1)
     one = LaurentPoly.one(p.params)

@@ -96,6 +96,26 @@ def test_cyc_number_arithmetic():
     assert w * w + w + 1 == CycNumber.const(3, 0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: CycNumber.zeta(6) ** 2.5,
+    lambda: CycNumber.zeta(6, 1.5),
+    lambda: CycNumber.zeta(6.0),
+    lambda: cyclotomic_polynomial(2.5),
+], ids=["power", "zeta-power", "zeta-order", "cyclotomic-order"])
+def test_cyclotomic_integers_must_be_integers(make):
+    # zeta_6 ** 2.5 was zeta_6 ** 2, and the others raised "can't multiply
+    # sequence by non-int"
+    with pytest.raises(TypeError, match="expected an integer exponent"):
+        make()
+
+
+def test_cyclotomic_integers_read_fractions_exactly():
+    assert cyclotomic_polynomial(F(6)) == cyclotomic_polynomial(6)
+    z = CycNumber.zeta(F(6), F(3))
+    assert z == CycNumber.zeta(6, 3) and type(z.N) is int
+    assert CycNumber.zeta(6) ** F(2) == CycNumber.zeta(6) ** 2
+
+
 def test_cyc_number_is_primitive():
     for N in range(1, 13):
         z = CycNumber.zeta(N, 1)

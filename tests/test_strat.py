@@ -30,6 +30,13 @@ def test_compositions_small():
     assert admissible_compositions(2) == [(2,), (0, 1), (1, 0), (0, 0, 0)]
 
 
+def test_compositions_read_n_exactly():
+    # an integral Fraction raised, as range() refuses it
+    assert admissible_compositions(Fraction(2)) == admissible_compositions(2)
+    with pytest.raises(TypeError, match="expected an integer exponent"):
+        admissible_compositions(2.0)
+
+
 def test_compositions_invariant_and_count():
     for n in range(9):
         comps = admissible_compositions(n)

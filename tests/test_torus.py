@@ -250,6 +250,8 @@ NOT_INTEGERS = [
     ("N", lambda: root_of_unity_structure(rank2_torus(), 2.5)),
     ("rank", lambda: TorusPresentation(2.5, Q, {})),
     ("pair", lambda: TorusPresentation(2, Q, {(0.0, 1): qu()})),
+    ("lattice-dim", lambda: LatticeSubgroup(2.0, [])),
+    ("lattice-entry", lambda: LatticeSubgroup(2, [(2.5, 0), (0, 3)])),
 ]
 
 
@@ -267,6 +269,17 @@ def test_integral_fractions_read_as_ints():
     assert type(P.rank) is int and all(type(i) is int for pair in P.pmat for i in pair)
     K, rank = root_of_unity_structure(P, F(5))
     assert K.basis == ((5, 0), (0, 5)) and type(rank) is int and rank == 25
+
+
+def test_lattice_reads_its_dimension_and_entries_exactly():
+    # the entry 2.5 used to make a "lattice" LatticeSubgroup(2, [[2.5, 0], [0, 3]])
+    K = LatticeSubgroup(F(2), [(F(2), 0), [0, F(3)]])
+    assert K == LatticeSubgroup(2, [(2, 0), (0, 3)]) and type(K.dim) is int
+    assert all(type(v) is int for col in K.basis for v in col)
+    with pytest.raises(ValueError, match="vector width does not match dimension"):
+        LatticeSubgroup(2, [(1, 0, 0)])
+    with pytest.raises(ValueError, match="dimension must be nonnegative"):
+        LatticeSubgroup(-1, [])
 
 
 def test_root_of_unity_no_parameters():

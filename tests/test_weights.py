@@ -1,5 +1,9 @@
 """Torus weights of monomials and the homogeneous decomposition."""
 
+from fractions import Fraction
+
+import pytest
+
 from qsolv import (
     UnitMonomial,
     element_weight,
@@ -25,6 +29,21 @@ def test_monomial_weight_entries():
         UnitMonomial.one(p.params),
         UnitMonomial.one(p.params),
     )
+
+
+@pytest.mark.parametrize("key", [(1,), (1, 0, 5), ()])
+def test_monomial_weight_checks_the_key_width(key):
+    # (1,) returned a weight and (1, 0, 5) raised a bare IndexError
+    with pytest.raises(ValueError, match="exponent key width does not match"):
+        monomial_weight(quantum_plane(), key)
+
+
+def test_monomial_weight_reads_the_key_exactly():
+    p = quantum_plane()
+    # (1.5, 0) returned the unit q^-1.5
+    with pytest.raises(TypeError, match="expected an integer exponent"):
+        monomial_weight(p, (1.5, 0))
+    assert monomial_weight(p, [Fraction(2), 0]) == monomial_weight(p, (2, 0))
 
 
 def test_monomial_weight_multiplicative():
