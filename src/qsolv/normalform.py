@@ -28,9 +28,10 @@ lives in the subalgebra generated by strictly later generators; a cap
 of DEFAULT_BUDGET new fills per call, which happen only where a letter
 crosses a relation with a tail, and a check for fills that need their
 own result turn malformed tails into RewriteBudgetError.  A second
-table of the engine says, for each pair of monomials multiplied so
-far, whether the pair is in order, moves by one scalar, or crosses a
-tail and so needs the right products.
+table of the engine holds, for each pair of monomials multiplied so
+far, how the pair multiplies: in order, by one scalar, or, where it
+crosses a tail, as its product at coefficient one, built once from the
+right products.
 """
 
 from __future__ import annotations
@@ -52,10 +53,10 @@ DEFAULT_BUDGET = 10**6
 # tables between nf_mul calls; a call that leaves more clears that table.
 # A round of a benchmark workload, on any seed, peaks at 891 monomial
 # pairs (quantum_matrices(3) in products) and 270 right products (powers).
+# A pair that crosses a tail holds its product: after a products round
+# (seed 3), tracemalloc finds 1.75 MB still held, against 1.03 MB when
+# such a pair held only a marker.
 _TABLE_CAP = 1024
-
-# The monomial-pair entry of a product that crosses a tail.
-_TAILED = object()
 
 
 def _coerce_coef(pres, value):
@@ -265,10 +266,12 @@ class _Engine:
     right products a call adds, at most DEFAULT_BUDGET, and ``pending``
     holds those it is filling, so a fill that needs itself is caught at
     once and an interrupted call leaves no half-filled entry behind.
+    ``one`` is the coefficient a pair's product is built at; a right
+    product's coefficients join it without a multiplication.
     """
 
     __slots__ = ("n", "zero_k", "gens", "params", "cu", "tailed_after", "tails",
-                 "right_products", "pairs", "pending", "fills")
+                 "right_products", "pairs", "pending", "fills", "one")
 
     def __init__(self, pres):
         n = self.n = pres.n
@@ -278,6 +281,7 @@ class _Engine:
             pair: tuple((coef, tuple(_word(key, n)), key[n:]) for key, coef in body.items())
             for pair, body in pres.tails.items()}
         self.right_products, self.pairs, self.pending, self.fills = {}, {}, set(), 0
+        self.one = LaurentPoly.one(pres.params)
 
     def begin(self):
         """Start an nf_mul call: no fill made, none in progress."""
@@ -296,16 +300,35 @@ class _Engine:
 
     def pair_entry(self, k1, k2):
         """The ``pairs`` entry of monomials k1 and k2: None when k1 * k2
-        is in order, _TAILED when a polynomial letter of k1 comes after a
-        letter g_a of k2 and has a tail against it, else sigma(k1, k2),
-        the one scalar of a product whose crossing letters q-commute."""
+        is in order, sigma(k1, k2), the one scalar of a product whose
+        crossing letters q-commute, and otherwise, where a polynomial
+        letter of k1 comes after a letter g_a of k2 and has a tail
+        against it, the product k1 * k2 at coefficient one (see
+        product)."""
         s1, s2 = support(k1), support(k2)
         if not s1 or not s2 or s1[-1] <= s2[0]:
             return None
         n, tailed = self.n, self.tailed_after
         if any(k1[c] for a in s2 if a < n for c in tailed[a]):
-            return _TAILED
+            return self.product(k1, k2)
         return normal_scalar(self.unit, k1, k2, self.params, s1, s2)
+
+    def product(self, k1, k2):
+        """k1 * k2 at coefficient one as (key, coefficient) pairs: k1 is
+        multiplied on the right by the letters of k2, lowest first, and
+        the invertible block of k2 joins last.  Where k2 is one letter
+        g_a and k1 has no invertible letter, that is the right product
+        k1 * g_a itself, and the pairs are those of its entry."""
+        n = self.n
+        word, kvec = _word(k2, n), k2[n:]
+        terms = {k1: self.one}
+        for a in word:
+            terms = self.times_letter(terms, a)
+        if any(kvec):
+            return tuple(self.times_kblock(terms, kvec).items())
+        if len(word) == 1 and not any(k1[n:]):
+            return self.right_products[k1, word[0]].items()
+        return tuple(terms.items())
 
     def times_kblock(self, terms, kvec):
         """Right product of a term map with the ordered invertible block k^kvec."""
@@ -371,7 +394,7 @@ class _Engine:
         invertible or polynomial with no tail against g_a, moves g_a into
         place by one scalar; the rest move only the invertible block and
         take M * g_a from the table."""
-        n, cu, tailed = self.n, self.cu, self.tailed_after[a]
+        n, cu, tailed, one = self.n, self.cu, self.tailed_after[a], self.one
         out = {}
         for key, coef in terms.items():
             if not any(map(key.__getitem__, tailed)):
@@ -394,7 +417,7 @@ class _Engine:
             if shifted:
                 entry = self.times_kblock(entry, kvec)
             for ekey, ecoef in entry.items():
-                _accumulate(out, ekey, coef * ecoef)
+                _accumulate(out, ekey, ecoef if coef is one else coef * ecoef)
         return out
 
     def _fill(self, mono, a):
@@ -439,22 +462,23 @@ def nf_mul(left, right):
     having no tail against each other, is the sum of the exponent keys
     times one scalar, sigma(k1, k2), applied as a shift of the
     coefficient's exponents (``times_unit``); a pair already in order
-    needs no scalar.  Otherwise the left monomial is multiplied on the
-    right by the letters of the right one, lowest first, through the
-    engine's table of right products M * g_a, and the invertible block
-    of the right monomial joins last.
+    needs no scalar.  A pair that crosses a tail holds its product at
+    coefficient one, built on its first miss through the engine's table
+    of right products M * g_a, and each of its terms is taken times the
+    product of the two coefficients.
 
     The call reads and extends both tables, so it fills only the entries
     no earlier call has, and DEFAULT_BUDGET caps its new right products.
     Exceeding the cap, or a fill that needs its own result, raises
-    RewriteBudgetError.
+    RewriteBudgetError; a pair whose product was cut short that way, or
+    by any other exception, gets no entry.
     """
     if left.pres is not right.pres:
         left._check(right)
     pres = left.pres
     engine = _engine_of(pres)
     engine.begin()
-    pairs, n = engine.pairs, engine.n
+    pairs = engine.pairs
     rights = right.terms.items()
     out = {}
     for k1, c1 in left.terms.items():
@@ -464,18 +488,13 @@ def nf_mul(left, right):
             except KeyError:
                 entry = pairs[k1, k2] = engine.pair_entry(k1, k2)
             coef = c1 * c2
-            if entry is not _TAILED:
-                if entry is not None:
-                    coef = coef.times_unit(entry)
+            if entry is None:
                 _accumulate(out, tuple(map(add, k1, k2)), coef)
-                continue
-            terms = {k1: coef}
-            for a in _word(k2, n):
-                terms = engine.times_letter(terms, a)
-            if any(k2[n:]):
-                terms = engine.times_kblock(terms, k2[n:])
-            for key, c in terms.items():
-                _accumulate(out, key, c)
+            elif entry.__class__ is UnitMonomial:
+                _accumulate(out, tuple(map(add, k1, k2)), coef.times_unit(entry))
+            else:
+                for key, c in entry:
+                    _accumulate(out, key, coef * c)
     engine.cap()
     return NFElement._make(pres, out)
 

@@ -61,14 +61,16 @@ def cyclotomic_polynomial(N):
 
 class CycNumber(ExactValue):
     """An element of Q(zeta_N), stored as a residue modulo the N-th
-    cyclotomic polynomial."""
+    cyclotomic polynomial.  Its values are read as a LaurentPoly reads a
+    coefficient (int or Fraction, never a float or a string) and kept as
+    Fractions."""
 
     __slots__ = ("N", "vec")
 
     def __init__(self, N, vec):
         N = _as_exponent(N)
         phi = cyclotomic_polynomial(N)
-        dense = [Fraction(v) for v in vec]
+        dense = [Fraction(_as_coef(v)) for v in vec]
         if len(dense) >= len(phi):
             _, dense = densepoly.divmod(dense, phi)
         dense += [Fraction(0)] * (len(phi) - 1 - len(dense))
@@ -77,7 +79,7 @@ class CycNumber(ExactValue):
 
     @classmethod
     def const(cls, N, value):
-        return cls(N, [Fraction(value)])
+        return cls(N, [value])
 
     @classmethod
     def zeta(cls, N, power=1):
@@ -353,9 +355,11 @@ def rational_torsionfree(values):
     monomial in a coprime base of its numerators and denominators, and
     the parity test of ``gamma_torsionfree`` decides.  Every prime
     divides exactly one base element, so the integer kernel, and with it
-    the verdict, is the one of the prime factorizations.
+    the verdict, is the one of the prime factorizations.  The values are
+    read as a LaurentPoly reads a coefficient, so a float or a string
+    raises TypeError.
     """
-    vals = [Fraction(v) for v in values]
+    vals = [Fraction(_as_coef(v)) for v in values]
     if any(not v for v in vals):
         raise SpecializationError("zero is not a unit")
     if all(v > 0 for v in vals):

@@ -6,6 +6,7 @@ two must give the same normal form term for term, also on
 quantum_matrices(3), whose relations are not confluent.
 """
 
+import copy
 import gc
 import itertools
 import pickle
@@ -17,10 +18,12 @@ import pytest
 
 import qsolv
 from qsolv import (
+    FracElem,
     LaurentPoly,
     Presentation,
     RewriteBudgetError,
     UnitMonomial,
+    ad_eigencomponents,
     nf_mul,
     quantum_affine,
     quantum_matrices,
@@ -30,7 +33,7 @@ from qsolv import (
     validate_presentation,
 )
 from qsolv import normalform
-from qsolv.normalform import _TAILED, NFElement, _Engine, _engine_of
+from qsolv.normalform import NFElement, _Engine, _engine_of
 from qsolv.params import support
 from reference_rewriter import reference_mul
 from reference_scalars import reference_normal_scalar
@@ -172,23 +175,38 @@ def record_fills(monkeypatch):
     return fills
 
 
+def clear_tables(p):
+    """Empty both product tables of p's engine: no right product and no
+    monomial pair, whose product would stand in for its fills."""
+    tables = engine(p)
+    tables.right_products.clear()
+    tables.pairs.clear()
+
+
+def pair_entries(left, right):
+    """The pair-table entries of the term pairs of left * right."""
+    pairs = engine(left.pres).pairs
+    return [pairs[key] for key in itertools.product(left.terms, right.terms) if key in pairs]
+
+
 def fill_count(monkeypatch, left, right):
-    """nf_mul(left, right) on an empty table, the number of table fills it
+    """nf_mul(left, right) on empty tables, the number of table fills it
     makes, and the error it raises when DEFAULT_BUDGET is one fill short
     (None when it makes no fill)."""
-    table = engine(left.pres).right_products
     with monkeypatch.context() as m:
         fills = record_fills(m)
-        table.clear()
+        clear_tables(left.pres)
         product = nf_mul(left, right)
     short = None
     if fills:
         with monkeypatch.context() as m:
             m.setattr(normalform, "DEFAULT_BUDGET", len(fills) - 1)
-            table.clear()
+            clear_tables(left.pres)
             with pytest.raises(RewriteBudgetError) as err:
                 nf_mul(left, right)
         short = str(err.value)
+        # the pair whose product ran out of fills keeps no entry
+        assert not pair_entries(left, right)
     return product, len(fills), short
 
 
@@ -402,8 +420,10 @@ def test_interrupted_call_leaves_only_finished_entries(monkeypatch):
     with pytest.raises(Interrupted):
         nf_mul(x5, y5)
     monkeypatch.undo()
-    # the fills still open when the call stopped left nothing behind
+    # the fills still open when the call stopped left nothing behind, nor
+    # did the pair whose product they were building
     assert 0 < len(engine(w).right_products) < 9
+    assert not pair_entries(x5, y5)
     assert_entries_finished(w)
     assert_same_normal_form(nf_mul(x5, y5), reference_mul(x5, y5))
     assert len(engine(w).right_products) == 25
@@ -417,6 +437,7 @@ def test_fill_that_needs_itself_leaves_no_marker():
         with pytest.raises(RewriteBudgetError, match="not well-founded"):
             nf_mul(bc, a)
         assert all(isinstance(entry, dict) for entry in engine(p).right_products.values())
+        assert not pair_entries(bc, a)
 
 
 def crosses_a_tail(p, k1, k2):
@@ -428,18 +449,23 @@ def crosses_a_tail(p, k1, k2):
 def assert_pair_entries(p):
     """Every entry of the presentation's pair table says how its two
     monomials multiply: None in order, sigma where no crossing has a
-    tail, the marker where one has."""
+    tail, and where one has, the product at coefficient one as (key,
+    coefficient) pairs."""
     for (k1, k2), entry in engine(p).pairs.items():
         s1, s2 = support(k1), support(k2)
+        want = reference_mul(p.monomial(k1), p.monomial(k2))
         assert (entry is None) == (not s1 or not s2 or s1[-1] <= s2[0]), (k1, k2)
-        assert (entry is _TAILED) == crosses_a_tail(p, k1, k2), (k1, k2)
-        if entry is _TAILED:
+        tailed = crosses_a_tail(p, k1, k2)
+        assert isinstance(entry, (type(None), UnitMonomial)) != tailed, (k1, k2)
+        if tailed:
+            stored = dict(entry)
+            assert len(stored) == len(list(entry)), (k1, k2)
+            assert_same_normal_form(NFElement(p, stored), want)
             continue
         sigma = reference_normal_scalar(p.commutation_unit, k1, k2, p.params)
         assert sigma.is_one() if entry is None else entry == sigma
         key = tuple(map(sum, zip(k1, k2)))
-        assert_same_normal_form(reference_mul(p.monomial(k1), p.monomial(k2)),
-                                p.monomial(key, sigma.as_poly()))
+        assert_same_normal_form(want, p.monomial(key, sigma.as_poly()))
 
 
 def test_interleaved_products_match_word_rewriter():
@@ -454,9 +480,74 @@ def test_interleaved_products_match_word_rewriter():
     for p in pair:
         assert engine(p).right_products
         assert_entries_finished(p)
-        assert {type(entry) for entry in engine(p).pairs.values()} == {
-            type(None), type(_TAILED), UnitMonomial}
+        kinds = {type(entry) for entry in engine(p).pairs.values()}
+        assert {type(None), UnitMonomial, tuple} <= kinds
         assert_pair_entries(p)
+
+
+@pytest.mark.parametrize("build", [plane_torus, lambda: quantum_weyl(2),
+                                   lambda: quantum_matrices(3)],
+                         ids=["plane_torus", "quantum_weyl2", "quantum_matrices3"])
+def test_repeated_product_reads_the_stored_pairs(monkeypatch, build):
+    # a pair that crosses a tail keeps its product, so the second call
+    # walks no right product
+    p = build()
+    rng = random.Random(5)
+    for _ in range(20):
+        a, b = _random_element(p, rng), _random_element(p, rng)
+        first = nf_mul(a, b)
+        with monkeypatch.context() as m:
+            calls = []
+            times_letter = _Engine.times_letter
+            m.setattr(_Engine, "times_letter",
+                      lambda self, *args: calls.append(args) or times_letter(self, *args))
+            again = nf_mul(a, b)
+        assert calls == []
+        assert_same_normal_form(again, first)
+    assert any(isinstance(entry, tuple) for entry in engine(p).pairs.values())
+
+
+def fraction_components(p):
+    """The eigencomponents with FracElem coefficients of the generators
+    of p, as NFElements: the numerators of their localized forms."""
+    out = []
+    for xidx, g in itertools.product(range(p.n), range(p.n + p.m)):
+        try:
+            spec = ad_eigencomponents(p, xidx, p.gen(g))
+        except qsolv.QsolvError:
+            continue
+        out += [comp.num for comp in spec.components
+                if any(isinstance(c, FracElem) for c in comp.num.terms.values())]
+    return out
+
+
+@pytest.mark.parametrize("p", FAMILIES, ids=lambda p: p.name)
+def test_warm_tables_give_the_cold_products(p):
+    # products read from tables that earlier products filled are the
+    # ones a fresh copy of the presentation, whose engine starts empty,
+    # builds; a pair that crosses a tail multiplies its stored product
+    # by c1 * c2 where the cold call multiplies letter by letter, so the
+    # FracElem coefficients of eigencomponents must print the same too
+    rng = random.Random(29)
+    elements = [_random_element(p, rng) for _ in range(10)]
+    components = fraction_components(p)[:4]
+    gens = [p.gen(g) for g in range(p.n + p.m)]
+    factors = [(rng.choice(elements), rng.choice(elements)) for _ in range(30)]
+    factors += [(c, g) for c in components for g in gens]
+    factors += [(g, c) for c in components for g in gens[:3]]
+    factors += [(c, rng.choice(elements)) for c in components]
+    for a, b in factors:
+        nf_mul(a, b)
+    assert engine(p).pairs
+    if p.name in ("quantum_weyl", "quantum_weyl2", "quantum_matrices2", "rank2"):
+        assert components
+    for a, b in factors:
+        warm = nf_mul(a, b)
+        fresh = copy.copy(p)
+        assert fresh._engine is None
+        cold = nf_mul(NFElement(fresh, a.terms), NFElement(fresh, b.terms))
+        assert warm == cold
+        assert str(warm) == str(cold)
 
 
 def test_table_cap_bounds_the_shared_entries(monkeypatch):

@@ -197,8 +197,12 @@ def test_budget_exhaustion(weyl, monkeypatch):
     big = weyl.monomial((4, 4))
     monkeypatch.setattr(normalform, "DEFAULT_BUDGET", 3)
     engine(weyl).right_products.clear()
+    engine(weyl).pairs.clear()
     with pytest.raises(RewriteBudgetError, match="exceeded 3 table fills"):
         nf_mul(big, big)
+    # the pair whose product ran out of fills keeps no entry
+    (key,) = big.terms
+    assert (key, key) not in engine(weyl).pairs
 
 
 def test_scalar_coefficient_types(plane):

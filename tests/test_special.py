@@ -116,6 +116,29 @@ def test_cyclotomic_integers_read_fractions_exactly():
     assert CycNumber.zeta(6) ** F(2) == CycNumber.zeta(6) ** 2
 
 
+@pytest.mark.parametrize("make", [
+    lambda: CycNumber.const(5, 0.1),
+    lambda: CycNumber(5, [F(1, 2), 0.5]),
+    lambda: CycNumber(5, ["1/2"]),
+    lambda: rational_torsionfree([0.1, 3]),
+    lambda: rational_torsionfree(["1/2", -2]),
+], ids=["const-float", "vector-float", "vector-string", "torsionfree-float",
+        "torsionfree-string"])
+def test_cyclotomic_and_unit_values_must_be_rational(make):
+    # const(5, 0.1) stored the float's binary fraction
+    # 3602879701896397/36028797018963968, the strings were parsed, and
+    # rational_torsionfree([0.1, 3]) decided on 0.1's binary expansion
+    with pytest.raises(TypeError, match="expected a rational value"):
+        make()
+
+
+def test_cyclotomic_values_are_kept_as_fractions():
+    c = CycNumber(5, [2, F(3, 1), F(1, 3)])
+    assert c.vec == (2, 3, F(1, 3), 0)
+    assert {type(v) for v in c.vec} == {Fraction}
+    assert {type(v) for v in CycNumber.const(5, 7).vec} == {Fraction}
+
+
 def test_cyc_number_is_primitive():
     for N in range(1, 13):
         z = CycNumber.zeta(N, 1)
