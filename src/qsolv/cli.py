@@ -35,7 +35,11 @@ from .presentation import Presentation, validate_presentation
 # A token is a fraction or an integer, a name or an operator; blanks
 # separate tokens.  Tokens are kept as plain strings, their kind read off
 # the first character, and positions are worked out only for an error.
-_TOKEN_RE = re.compile(r"\d+(?:/\d+)?|[A-Za-z][A-Za-z0-9_]*|[*^+\-,:/()]")
+# Numerals are ASCII digits: another script's digit is no token.
+_TOKEN_RE = re.compile(r"[0-9]+(?:/[0-9]+)?|[A-Za-z][A-Za-z0-9_]*|[*^+\-,:/()]")
+# A --param value, and an integer option or argument, in the same digits
+_VALUE_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+_INTEGER_RE = re.compile(r"-?[0-9]+")
 
 
 def _tokenize(text):
@@ -637,6 +641,8 @@ def _parse_assignments(pairs):
         if name in values:
             raise ParseError(f"--param gives {name!r} more than once", 0, 0)
         try:
+            if not _VALUE_RE.fullmatch(raw):
+                raise ValueError
             values[name] = _rational_literal(raw, ValueError)
         except ValueError:
             raise ParseError(f"invalid value {raw!r} for {name}", 0, 0)
@@ -702,6 +708,13 @@ def _cmd_compositions(args):
     return 0, rows
 
 
+def _integer(text):
+    """An integer option or argument, optionally negative, in ASCII digits."""
+    if not _INTEGER_RE.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="qsolv",
@@ -728,7 +741,7 @@ def _build_parser():
     a.add_argument("file")
     a.add_argument("xgen", help="generator to localize at")
     a.add_argument("element")
-    a.add_argument("--degree-cap", type=int, default=16, metavar="K")
+    a.add_argument("--degree-cap", type=_integer, default=16, metavar="K")
     c = add("center", _cmd_center, help="center of a torus presentation")
     c.add_argument("file")
     s = add("stratify", _cmd_stratify, help="stratify the prime spectrum")
@@ -737,10 +750,10 @@ def _build_parser():
             help="push parameters into a field and re-validate")
     e.add_argument("file")
     e.add_argument("--param", action="append", metavar="NAME=VALUE")
-    e.add_argument("--root-of-unity", type=int, metavar="N")
+    e.add_argument("--root-of-unity", type=_integer, metavar="N")
     k = add("compositions", _cmd_compositions,
             help="list stratum index compositions")
-    k.add_argument("n", type=int)
+    k.add_argument("n", type=_integer)
     return parser
 
 

@@ -31,7 +31,10 @@ own result turn malformed tails into RewriteBudgetError.  A second
 table of the engine holds, for each pair of monomials multiplied so
 far, how the pair multiplies: in order, by one scalar, or, where it
 crosses a tail, as its product at coefficient one, built once from the
-right products.
+right products.  A build starts from the longest prefix of the right
+monomial whose pair the table already holds, and stores the products by
+the first prefixes it passes, up to _PREFIX_TERMS terms, so a later
+product by a longer monomial walks on from there.
 """
 
 from __future__ import annotations
@@ -51,12 +54,22 @@ DEFAULT_BUDGET = 10**6
 
 # The most entries a presentation's engine keeps in each of its two
 # tables between nf_mul calls; a call that leaves more clears that table.
-# A round of a benchmark workload, on any seed, peaks at 891 monomial
-# pairs (quantum_matrices(3) in products) and 270 right products (powers).
-# A pair that crosses a tail holds its product: after a products round
-# (seed 3), tracemalloc finds 1.75 MB still held, against 1.03 MB when
-# such a pair held only a marker.
+# A round of a benchmark workload, on seeds 1-5, peaks at 898 monomial
+# pairs (quantum_weyl(2) in products; 189 in powers) and 270 right
+# products (powers).  A pair that crosses a tail holds its product, and
+# so do the prefixes its build stored: after a round (seed 3),
+# tracemalloc finds 1.87 MB still held in products and 0.98 MB in
+# powers, against 1.75 and 0.89 MB when only the pairs multiplied were
+# kept, and 1.03 MB in products when such a pair held only a marker.
 _TABLE_CAP = 1024
+
+# The most terms one product's build stores in the products by the
+# prefixes of its right monomial that it passes (see _Engine.product), so
+# what a build adds to the pair table beyond its own product is bounded
+# whatever the size of the monomials.  On a products round (seed 3) it
+# makes 1,122 letter steps, against 1,118 with no bound and 2,192 with no
+# prefix stored.
+_PREFIX_TERMS = 8
 
 
 def _coerce_coef(pres, value):
@@ -316,17 +329,52 @@ class _Engine:
     def product(self, k1, k2):
         """k1 * k2 at coefficient one as (key, coefficient) pairs: k1 is
         multiplied on the right by the letters of k2, lowest first, and
-        the invertible block of k2 joins last.  Where k2 is one letter
-        g_a and k1 has no invertible letter, that is the right product
-        k1 * g_a itself, and the pairs are those of its entry."""
-        n = self.n
+        the invertible block of k2 joins last.
+
+        The walk starts from the longest proper prefix P of k2, the
+        monomial of its first letters, whose pair (k1, P) is in ``pairs``:
+        None reads as the key k1 + P at coefficient one, sigma as that key
+        at sigma, and a stored product as its terms.  Each proper prefix
+        the walk then passes whose pair crosses a tail is stored under
+        (k1, P) as pair_entry would store it, while the prefixes this
+        build stores hold at most _PREFIX_TERMS terms in all; a walk cut
+        short keeps only the prefixes it finished."""
+        n, pairs, one, tailed = self.n, self.pairs, self.one, self.tailed_after
         word, kvec = _word(k2, n), k2[n:]
-        terms = {k1: self.one}
-        for a in word:
+        prefix, stop = list(k2[:n] + self.zero_k), len(word)
+        if not any(kvec):
+            stop -= 1
+            prefix[word[stop]] -= 1
+        start, terms = stop, {k1: one}
+        while start:
+            key = tuple(prefix)
+            if (k1, key) in pairs:
+                entry, key = pairs.get((k1, key)), tuple(map(add, k1, key))
+                terms = ({key: one} if entry is None else
+                         {key: one.times_unit(entry)} if entry.__class__ is UnitMonomial
+                         else dict(entry))
+                break
+            start -= 1
+            prefix[word[start]] -= 1
+        crossing, stored = any(k1[c] for a in word[:start] for c in tailed[a]), 0
+        for i in range(start, len(word)):
+            a = word[i]
             terms = self.times_letter(terms, a)
+            prefix[a] += 1
+            crossing = crossing or any(k1[c] for c in tailed[a])
+            if crossing and i < stop and stored + len(terms) <= _PREFIX_TERMS:
+                stored += len(terms)
+                pairs[k1, tuple(prefix)] = self.entry(k1, word[:i + 1], terms)
         if any(kvec):
             return tuple(self.times_kblock(terms, kvec).items())
-        if len(word) == 1 and not any(k1[n:]):
+        return self.entry(k1, word, terms)
+
+    def entry(self, k1, word, terms):
+        """The built product k1 * (the letters of word) as a ``pairs``
+        entry: where word is one letter g_a and k1 has no invertible
+        letter, the right product k1 * g_a itself, and the pairs are those
+        of its entry."""
+        if len(word) == 1 and not any(k1[self.n:]):
             return self.right_products[k1, word[0]].items()
         return tuple(terms.items())
 
@@ -464,8 +512,9 @@ def nf_mul(left, right):
     coefficient's exponents (``times_unit``); a pair already in order
     needs no scalar.  A pair that crosses a tail holds its product at
     coefficient one, built on its first miss through the engine's table
-    of right products M * g_a, and each of its terms is taken times the
-    product of the two coefficients.
+    of right products M * g_a from the longest stored prefix of k2 (see
+    _Engine.product), and each of its terms is taken times the product
+    of the two coefficients.
 
     The call reads and extends both tables, so it fills only the entries
     no earlier call has, and DEFAULT_BUDGET caps its new right products.

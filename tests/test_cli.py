@@ -456,6 +456,40 @@ def test_specialize_rejects_bad_values(plane_file, capsys, raw):
     assert captured.err == f"error: invalid value {raw!r} for q\n"
 
 
+@pytest.mark.parametrize("raw", ["1_000", "-3/-4", "3/+4", "+3", "\uff11\uff12", "\u0663",
+                                 "3/\uff14"])
+def test_specialize_values_are_ascii_numerals(plane_file, capsys, raw):
+    # int() read these as 1000, 3/4, 3/4, 3, 12, 3 and 3/4
+    assert run_command(["specialize", plane_file, "--param", f"q={raw}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: invalid value {raw!r} for q\n"
+
+
+def test_specialize_values_may_be_negative(plane_file, capsys):
+    assert run_command(["specialize", plane_file, "--param", "q=-3/4"]) == 0
+    assert capsys.readouterr().out.startswith("target: SpecTarget(rational: q=-3/4)")
+
+
+@pytest.mark.parametrize("option, raw", [("--root-of-unity", "\uff15"),
+                                         ("--root-of-unity", "1_2"),
+                                         ("--root-of-unity", "+6"),
+                                         ("--degree-cap", "\u0661\u0666"),
+                                         ("compositions", "\uff13")])
+def test_integer_options_are_ascii_numerals(tmp_path, plane_file, capsys, option, raw):
+    # argparse's int read these as 5, 12, 6, 16 and 3
+    argv = {"--root-of-unity": ["specialize", plane_file, option, raw],
+            "--degree-cap": ["adjoint", write_presentation(tmp_path, quantum_weyl(1)),
+                             "y", "x", option, raw],
+            "compositions": [option, raw]}[option]
+    with pytest.raises(SystemExit) as exc:
+        run_command(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"invalid int value: {raw!r}\n")
+
+
 def test_specialize_root_of_unity_needs_integer_exponents(plane_file, capsys):
     args = ["specialize", plane_file, "--root-of-unity", "6"]
     assert run_command([*args, "--param", "q=1/2"]) == 2

@@ -2,17 +2,17 @@
 size of its input and of its answer.
 
 Each case runs at two sizes and reads a count that does not depend on the
-machine, taken by wrapping the function that does the work.  A case whose
-count breaks its bound today is a strict expected failure naming the
-ROADMAP item that is to mend it; that change removes the marker, and the
-gate then holds.
+machine, taken by wrapping the function that does the work or from what a
+table holds after it.  A case whose count breaks its bound today is a
+strict expected failure naming the ROADMAP item that is to mend it; that
+change removes the marker, and the gate then holds.
 """
 
 import math
 
 import pytest
 
-from qsolv import LaurentPoly, nf_mul, quantum_matrices, quantum_weyl
+from qsolv import LaurentPoly, UnitMonomial, nf_mul, quantum_matrices, quantum_weyl
 from qsolv import strat
 from qsolv.normalform import _Engine
 
@@ -86,6 +86,18 @@ def test_two_sided_power_fills_track_the_answer(monkeypatch, k):
     monkeypatch.undo()
     answer_terms = sum(len(c.terms) for c in product.terms.values())
     assert counts["fills"] <= answer_terms
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_power_product_pair_terms_track_the_answer(n):
+    # weyl1 x^n * y^n keeps its product (n + 1 terms) and the product by
+    # the longest prefix y^(n-1) (n terms) in the pair table; keeping the
+    # product by every prefix y^j its walk passes held about n^2 / 2
+    w = quantum_weyl(1)
+    product = nf_mul(w.gen_power(1, n), w.gen_power(0, n))
+    held = sum(len(entry) for entry in w._engine.pairs.values()
+               if entry is not None and not isinstance(entry, UnitMonomial))
+    assert held <= 2 * len(product.terms)
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 10")

@@ -186,7 +186,19 @@ def clear_tables(p):
 def pair_entries(left, right):
     """The pair-table entries of the term pairs of left * right."""
     pairs = engine(left.pres).pairs
-    return [pairs[key] for key in itertools.product(left.terms, right.terms) if key in pairs]
+    return [pairs[key] for key in term_pairs([(left, right)]) if key in pairs]
+
+
+def term_pairs(products):
+    """The monomial pairs that nf_mul(a, b) looks up, for each (a, b)."""
+    return {key for a, b in products for key in itertools.product(a.terms, b.terms)}
+
+
+def cold_mul(a, b):
+    """a * b on a fresh copy of their presentation, whose tables start
+    empty."""
+    fresh = copy.copy(a.pres)
+    return nf_mul(NFElement(fresh, a.terms), NFElement(fresh, b.terms))
 
 
 def fill_count(monkeypatch, left, right):
@@ -205,8 +217,10 @@ def fill_count(monkeypatch, left, right):
             with pytest.raises(RewriteBudgetError) as err:
                 nf_mul(left, right)
         short = str(err.value)
-        # the pair whose product ran out of fills keeps no entry
+        # the pair whose product ran out of fills keeps no entry, and a
+        # prefix its walk finished and stored is the whole product
         assert not pair_entries(left, right)
+        assert_pair_entries(left.pres, term_pairs([(left, right)]), cold_mul)
     return product, len(fills), short
 
 
@@ -218,6 +232,9 @@ def test_weyl_power_fill_counts(monkeypatch, k, terms, fills):
     y, x = w.gen(0), w.gen(1)
     product, count, short = fill_count(monkeypatch, w.gen_power(1, k), w.gen_power(0, k))
     assert count == fills
+    # the walk cut one fill short stored its first prefixes y and y^2, whose
+    # 2 and 3 terms leave too few of _PREFIX_TERMS for the 4 of y^3
+    assert len(engine(w).pairs) == 2
     assert len(product.terms) == terms
     assert product == nf_mul(x, nf_mul(w.gen_power(1, k - 1), w.gen_power(0, k)))
     assert short == (f"rewriting exceeded {fills - 1} table fills at x*y; "
@@ -421,13 +438,18 @@ def test_interrupted_call_leaves_only_finished_entries(monkeypatch):
         nf_mul(x5, y5)
     monkeypatch.undo()
     # the fills still open when the call stopped left nothing behind, nor
-    # did the pair whose product they were building
+    # did the pair whose product they were building; the prefix y of y^5
+    # that its walk finished is a whole product
     assert 0 < len(engine(w).right_products) < 9
     assert not pair_entries(x5, y5)
     assert_entries_finished(w)
+    assert assert_pair_entries(w, term_pairs([(x5, y5)])) == 1
+    # the call made again walks on from that prefix and stores y^2 and y^3
+    # (3 and 4 terms), which fill _PREFIX_TERMS but for one
     assert_same_normal_form(nf_mul(x5, y5), reference_mul(x5, y5))
     assert len(engine(w).right_products) == 25
     assert_entries_finished(w)
+    assert assert_pair_entries(w, term_pairs([(x5, y5)])) == 3
 
 
 def test_fill_that_needs_itself_leaves_no_marker():
@@ -446,14 +468,38 @@ def crosses_a_tail(p, k1, k2):
     return any(k1[c] and k2[a] for (a, c) in p.tails)
 
 
-def assert_pair_entries(p):
+def proper_prefixes(p, k2):
+    """The monomials of the first one, two, ... polynomial letters of k2,
+    lowest first, other than k2 itself: the walk of a product by k2
+    passes them."""
+    word = [pos for pos in range(p.n) for _ in range(k2[pos])]
+    prefixes = set()
+    for j in range(1, len(word) + 1):
+        key = [0] * len(k2)
+        for pos in word[:j]:
+            key[pos] += 1
+        prefixes.add(tuple(key))
+    prefixes.discard(k2)
+    return prefixes
+
+
+def assert_pair_entries(p, looked_up=None, mul=reference_mul):
     """Every entry of the presentation's pair table says how its two
     monomials multiply: None in order, sigma where no crossing has a
     tail, and where one has, the product at coefficient one as (key,
-    coefficient) pairs."""
+    coefficient) pairs, equal to ``mul`` of the two monomials.  Given the
+    pairs nf_mul looked up, each other entry is a stored prefix: (k1, P)
+    with P a proper prefix of some k2 looked up with k1, whose pair
+    crosses a tail.  Returns the number of stored prefixes."""
+    prefixes = 0
     for (k1, k2), entry in engine(p).pairs.items():
         s1, s2 = support(k1), support(k2)
-        want = reference_mul(p.monomial(k1), p.monomial(k2))
+        want = mul(p.monomial(k1), p.monomial(k2))
+        if looked_up is not None and (k1, k2) not in looked_up:
+            assert any(k2 in proper_prefixes(p, right)
+                       for left, right in looked_up if left == k1), (k1, k2)
+            assert crosses_a_tail(p, k1, k2), (k1, k2)
+            prefixes += 1
         assert (entry is None) == (not s1 or not s2 or s1[-1] <= s2[0]), (k1, k2)
         tailed = crosses_a_tail(p, k1, k2)
         assert isinstance(entry, (type(None), UnitMonomial)) != tailed, (k1, k2)
@@ -466,6 +512,7 @@ def assert_pair_entries(p):
         assert sigma.is_one() if entry is None else entry == sigma
         key = tuple(map(sum, zip(k1, k2)))
         assert_same_normal_form(want, p.monomial(key, sigma.as_poly()))
+    return prefixes
 
 
 def test_interleaved_products_match_word_rewriter():
@@ -473,16 +520,18 @@ def test_interleaved_products_match_word_rewriter():
     # each, multiplied in a random order
     rng = random.Random(17)
     pair = (quantum_matrices(3), plane_torus())
+    products = ([], [])
     for _ in range(60):
-        p = rng.choice(pair)
-        a, b = _random_element(p, rng), _random_element(p, rng)
+        side = rng.randrange(2)
+        a, b = _random_element(pair[side], rng), _random_element(pair[side], rng)
         assert_same_normal_form(nf_mul(a, b), reference_mul(a, b))
-    for p in pair:
+        products[side].append((a, b))
+    for p, multiplied in zip(pair, products):
         assert engine(p).right_products
         assert_entries_finished(p)
         kinds = {type(entry) for entry in engine(p).pairs.values()}
         assert {type(None), UnitMonomial, tuple} <= kinds
-        assert_pair_entries(p)
+        assert assert_pair_entries(p, term_pairs(multiplied)) > 0
 
 
 @pytest.mark.parametrize("build", [plane_torus, lambda: quantum_weyl(2),
@@ -497,14 +546,73 @@ def test_repeated_product_reads_the_stored_pairs(monkeypatch, build):
         a, b = _random_element(p, rng), _random_element(p, rng)
         first = nf_mul(a, b)
         with monkeypatch.context() as m:
-            calls = []
-            times_letter = _Engine.times_letter
-            m.setattr(_Engine, "times_letter",
-                      lambda self, *args: calls.append(args) or times_letter(self, *args))
+            calls = record_letter_steps(m)
             again = nf_mul(a, b)
         assert calls == []
         assert_same_normal_form(again, first)
     assert any(isinstance(entry, tuple) for entry in engine(p).pairs.values())
+
+
+# (family, left monomial as generator powers, right letter): the left
+# monomial has a letter with a tail against the right one
+PREFIX_WALKS = [
+    (lambda: quantum_weyl(1), {"x": 2}, "y"),
+    (lambda: quantum_weyl(2), {"x1": 1}, "y1"),
+    (lambda: quantum_weyl(2), {"x2": 1, "x1": 2}, "y2"),
+    (lambda: quantum_weyl(2), {"x2": 2, "x1": 1}, "y1"),
+]
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+@pytest.mark.parametrize("build, left, letter", PREFIX_WALKS,
+                         ids=["weyl1-x2-y", "weyl2-x1-y1", "weyl2-x2x1^2-y2",
+                              "weyl2-x2^2x1-y1"])
+def test_product_walks_on_from_the_stored_prefix(monkeypatch, build, left, letter, k):
+    # a * g^(k+1) after a * g^k starts from the stored product a * g^k and
+    # walks one letter, where it used to walk all k + 1 from a
+    p = build()
+    a = p.monomial(tuple(left.get(name, 0) for name in p.gens))
+    g = p.position(letter)
+    nf_mul(a, p.gen_power(g, k))
+    # on its way the walk stored a * g, a * g^2, ... while their products
+    # held at most _PREFIX_TERMS terms in all, and these take no step
+    sizes = [len(reference_mul(a, p.gen_power(g, j)).terms) for j in range(1, k)]
+    stored = sum(total <= normalform._PREFIX_TERMS for total in itertools.accumulate(sizes))
+    assert assert_pair_entries(p, term_pairs([(a, p.gen_power(g, k))])) == stored
+    with monkeypatch.context() as m:
+        calls = record_letter_steps(m)
+        for j in range(1, stored + 1):
+            assert_same_normal_form(nf_mul(a, p.gen_power(g, j)),
+                                    reference_mul(a, p.gen_power(g, j)))
+    assert calls == []
+    with monkeypatch.context() as m:
+        calls = record_letter_steps(m)
+        product = nf_mul(a, p.gen_power(g, k + 1))
+    assert len(calls) == 1
+    assert_same_normal_form(product, reference_mul(a, p.gen_power(g, k + 1)))
+
+
+@pytest.mark.parametrize("k", range(1, 4))
+def test_invertible_block_joins_the_stored_prefix(monkeypatch, k):
+    # y^2 * x^k l after y^2 * x^k starts from the stored product by its
+    # whole polynomial part and walks no letter
+    p = plane_torus()
+    a, right = p.gen_power(1, 2), p.monomial((k, 0, 0, 1))
+    nf_mul(a, p.gen_power(0, k))
+    with monkeypatch.context() as m:
+        calls = record_letter_steps(m)
+        product = nf_mul(a, right)
+    assert calls == []
+    assert_same_normal_form(product, reference_mul(a, right))
+
+
+def record_letter_steps(monkeypatch):
+    """A list that gets one entry per _Engine.times_letter call from now on."""
+    calls = []
+    times_letter = _Engine.times_letter
+    monkeypatch.setattr(_Engine, "times_letter",
+                        lambda self, *args: calls.append(args) or times_letter(self, *args))
+    return calls
 
 
 def fraction_components(p):
@@ -541,6 +649,14 @@ def test_warm_tables_give_the_cold_products(p):
     assert engine(p).pairs
     if p.name in ("quantum_weyl", "quantum_weyl2", "quantum_matrices2", "rank2"):
         assert components
+    assert_pair_entries(p)
+    # a copy that multiplies only these factors stores, besides their
+    # pairs, only tail-crossing prefixes their walks passed
+    fresh = copy.copy(p)
+    for a, b in factors:
+        nf_mul(NFElement(fresh, a.terms), NFElement(fresh, b.terms))
+    prefixes = assert_pair_entries(fresh, term_pairs(factors))
+    assert prefixes > 0 if p.tails else prefixes == 0
     for a, b in factors:
         warm = nf_mul(a, b)
         fresh = copy.copy(p)
@@ -560,9 +676,12 @@ def test_table_cap_bounds_the_shared_entries(monkeypatch):
         held.append(len(engine(w).right_products))
         pairs.append(len(engine(w).pairs))
     # kept while under the cap, cleared by a call that leaves more; each
-    # call adds one monomial pair
+    # call adds its own pair, and one on a cleared table also the first
+    # prefixes y, y^2, ... its walk passes, up to _PREFIX_TERMS terms:
+    # three for x^2 * y^5 (2 + 3 + 3 terms), two for x^5 * y^5 (2 + 3)
     assert max(held) == 8 and held.count(0) > 1
-    assert pairs == [1, 2, 3, 4, 5, 6, 7, 8, 0] * 2 + [1, 2, 3, 4, 5, 6, 7]
+    assert pairs == [1, 2, 3, 4, 5, 6, 7, 8, 0] + [4, 5, 6, 7, 8, 0] + \
+        [1, 2, 3, 4, 5, 6, 7, 8, 0] + [3]
 
 
 def test_presentations_are_freed_without_the_cyclic_collector():

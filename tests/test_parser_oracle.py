@@ -93,6 +93,14 @@ MALFORMED = [
     ("algebra A\ngens _x poly\n", "unexpected character '_'", 2, 6),
     ("algebra A\ngens x poly, 1_y poly\n", "unexpected character '_'", 2, 15),
     ("algebra A\ngens x poly / gens y poly\n", "duplicate gens line", 2, 15),
+    # numerals are ASCII digits; a fullwidth or Arabic-Indic digit used to
+    # read as its value
+    (H + "commute x y : q^\uff13\n", "unexpected character '\uff13'", 4, 17),
+    (H + "commute x y : q^\u0663\n", "unexpected character '\u0663'", 4, 17),
+    (H + "commute x y : q^1\uff12\n", "unexpected character '\uff12'", 4, 18),
+    (H + "qskew \uff11 : q\n", "unexpected character '\uff11'", 4, 7),
+    (H + "tail x y : \uff13*z\n", "unexpected character '\uff13'", 4, 12),
+    (H + "tail x y : 1/\u0662*z\n", "unexpected character '\u0662'", 4, 14),
     ("algebra A\ncommute x y : q\n", "generators must be declared before this line", 2, 1),
     (H + "commute x y : s\n", "unknown parameter 's'", 4, 15),
     (H + "commute y x : q\n", "commute pairs are written in declaration order", 4, 9),
@@ -139,6 +147,8 @@ MALFORMED_ELEMENTS = [
     ("x y", "trailing input after the expression", 1, 3),
     ("", "expected a single element expression", 1, 1),
     ("x @ y", "unexpected character '@'", 1, 3),
+    ("x^\uff12", "unexpected character '\uff12'", 1, 3),
+    ("\u0663*y", "unexpected character '\u0663'", 1, 1),
 ]
 
 

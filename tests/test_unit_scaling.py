@@ -102,9 +102,11 @@ def test_matrices3_generator_products_count(monkeypatch):
 def test_weyl2_triples_count(monkeypatch):
     # both bracketings of 40 seeded triples on empty tables; 2,563
     # products and 505 units as above, 226 units when every call found
-    # sigma afresh instead of reading it from the pair table, and 2,123
+    # sigma afresh instead of reading it from the pair table, 2,123
     # products and 193 units when a pair that crosses a tail walked the
-    # right products on every call instead of keeping its product
+    # right products on every call instead of keeping its product, and
+    # 2,125 products and 176 units when each such product was built from
+    # the pair's left monomial instead of its longest stored prefix
     p = quantum_weyl(2)
     rng = random.Random(23)
     triples = [tuple(_random_element(p, rng) for _ in range(3)) for _ in range(40)]
@@ -112,7 +114,7 @@ def test_weyl2_triples_count(monkeypatch):
     for a, b, c in triples:
         nf_mul(nf_mul(a, b), c)
         nf_mul(a, nf_mul(b, c))
-    assert (counts["mul"], counts["units"]) == (2125, 176)
+    assert (counts["mul"], counts["units"]) == (1973, 147)
 
 
 # -- Gaussian binomials -------------------------------------------------------
