@@ -56,6 +56,8 @@ class LocElement(Frozen):
 
     def __init__(self, pres, xidx, num, dpow=0):
         _check_site(pres, xidx)
+        if num.pres is not pres:
+            pres.zero()._check(num)
         dpow = _as_exponent(dpow)
         if dpow < 0:
             raise LocalizationError("denominator power must be nonnegative")
@@ -147,6 +149,8 @@ def loc_element(p, xidx, a):
     if isinstance(a, LocElement):
         if a.xidx != xidx:
             raise LocalizationError("element localized at a different generator")
+        if a.pres is not p:
+            p.zero()._check(a.num)
         return a
     return LocElement(p, xidx, a, 0)
 

@@ -4,13 +4,15 @@ Elements are finite sums of ordered monomials g_1^{t_1} ... g_N^{t_N}
 where the first n generators are polynomial (exponents in N) and the
 remaining m are invertible (exponents in Z).
 
-Products come from a table of right products M * g_a, an ordered
-monomial M times one polynomial letter g_a.  A letter after g_a
-q-commutes with it when it is invertible, or polynomial with no tail
-T_ac; when every letter of M after g_a does, g_a moves into place by
-one scalar, the product of the commutation scalars it crosses, and no
-entry is filled.  Otherwise M = M' g_b with b its last letter, and the
-relation g_a g_b = u g_b g_a + T_ab gives
+Products come from one table per presentation, keyed by pairs of
+monomials.  A right product M * g_a, an ordered monomial M free of
+invertible letters times one polynomial letter g_a, is the entry of
+(M, e_a), e_a the exponent key of g_a.  A letter after g_a q-commutes
+with it when it is invertible, or polynomial with no tail T_ac; when
+every letter of M after g_a does, g_a moves into place by one scalar,
+the product of the commutation scalars it crosses, and no entry is
+filled.  Otherwise M = M' g_b with b its last letter, and the relation
+g_a g_b = u g_b g_a + T_ab gives
 
     M * g_a = u^-1 (M' * g_a) * g_b - u^-1 M' * T_ab,
 
@@ -27,14 +29,12 @@ call reads and extends it.  Filling it terminates because every tail
 lives in the subalgebra generated by strictly later generators; a cap
 of DEFAULT_BUDGET new fills per call, which happen only where a letter
 crosses a relation with a tail, and a check for fills that need their
-own result turn malformed tails into RewriteBudgetError.  A second
-table of the engine holds, for each pair of monomials multiplied so
-far, how the pair multiplies: in order, by one scalar, or, where it
-crosses a tail, as its product at coefficient one, built once from the
-right products.  A build starts from the longest prefix of the right
-monomial whose pair the table already holds, and stores the products by
-the first prefixes it passes, up to _PREFIX_TERMS terms, so a later
-product by a longer monomial walks on from there.
+own result turn malformed tails into RewriteBudgetError.  Every pair
+multiplied so far holds how it multiplies: in order, by one scalar, or,
+where it crosses a tail, as its product at coefficient one, built from
+the longest prefix of the right monomial whose pair the table holds;
+the build stores the products by the first prefixes it passes, up to
+_PREFIX_TERMS terms.
 """
 
 from __future__ import annotations
@@ -52,16 +52,10 @@ from .params import (
 # each fill, not at import, so a lowered value holds from the next call.
 DEFAULT_BUDGET = 10**6
 
-# The most entries a presentation's engine keeps in each of its two
-# tables between nf_mul calls; a call that leaves more clears that table.
-# A round of a benchmark workload, on seeds 1-5, peaks at 898 monomial
-# pairs (quantum_weyl(2) in products; 189 in powers) and 270 right
-# products (powers).  A pair that crosses a tail holds its product, and
-# so do the prefixes its build stored: after a round (seed 3),
-# tracemalloc finds 1.87 MB still held in products and 0.98 MB in
-# powers, against 1.75 and 0.89 MB when only the pairs multiplied were
-# kept, and 1.03 MB in products when such a pair held only a marker.
-_TABLE_CAP = 1024
+# The most entries a presentation's engine keeps in its table between
+# nf_mul calls; a call that leaves more clears it.  A benchmark round,
+# seeds 1-5, peaks at 983 entries (products), 423 (powers), 108 (spectra).
+_TABLE_CAP = 2048
 
 # The most terms one product's build stores in the products by the
 # prefixes of its right monomial that it passes (see _Engine.product), so
@@ -105,6 +99,8 @@ class NFElement(Frozen):
                     "negative exponent on a polynomial generator; localize instead"
                 )
             coef = _coerce_coef(pres, coef)
+            if coef.params != pres.params:
+                raise ValueError("coefficient parameters do not match presentation")
             if not coef.is_zero():
                 clean[key] = coef
         object.__setattr__(self, "terms", clean)
@@ -270,21 +266,19 @@ class _Engine:
 
     It keeps only what it reads of the presentation, so the two form no
     reference cycle and are freed without the cyclic collector.  Its
-    tables grow across calls: ``right_products`` maps (M, a), with M an
-    ordered monomial free of invertible letters, to M * g_a as a term
-    map, stored only where g_a crosses a letter of M with a tail against
-    it; ``pairs`` says how each pair of monomials met so far multiplies
-    (see pair_entry); ``tails`` holds each tail as (coefficient,
-    ascending letter word, invertible exponents).  ``fills`` counts the
-    right products a call adds, at most DEFAULT_BUDGET, and ``pending``
-    holds those it is filling, so a fill that needs itself is caught at
-    once and an interrupted call leaves no half-filled entry behind.
-    ``one`` is the coefficient a pair's product is built at; a right
-    product's coefficients join it without a multiplication.
+    table ``pairs`` grows across calls and says how each pair of
+    monomials met so far multiplies (see pair_entry), a product as a term
+    dict; M * g_a is the entry of (M, ``letters[a]``), filled only where
+    g_a crosses a letter of M with a tail against it.  ``tails`` holds
+    each tail as (coefficient, ascending letter word, invertible
+    exponents).  ``fills`` counts the right products a call adds, at most
+    DEFAULT_BUDGET, and ``pending`` holds those it is filling, so a fill
+    that needs itself is caught at once and an interrupted call leaves no
+    half-filled entry behind.  Products are built at coefficient ``one``.
     """
 
     __slots__ = ("n", "zero_k", "gens", "params", "cu", "tailed_after", "tails",
-                 "right_products", "pairs", "pending", "fills", "one")
+                 "letters", "pairs", "pending", "fills", "one")
 
     def __init__(self, pres):
         n = self.n = pres.n
@@ -293,8 +287,8 @@ class _Engine:
         self.tails = {
             pair: tuple((coef, tuple(_word(key, n)), key[n:]) for key, coef in body.items())
             for pair, body in pres.tails.items()}
-        self.right_products, self.pairs, self.pending, self.fills = {}, {}, set(), 0
-        self.one = LaurentPoly.one(pres.params)
+        self.letters = tuple(tuple(int(p == a) for p in range(n + pres.m)) for a in range(n))
+        self.pairs, self.pending, self.fills, self.one = {}, set(), 0, LaurentPoly.one(pres.params)
 
     def begin(self):
         """Start an nf_mul call: no fill made, none in progress."""
@@ -302,10 +296,9 @@ class _Engine:
         self.fills = 0
 
     def cap(self):
-        """End an nf_mul call: clear each table over _TABLE_CAP entries."""
-        for table in (self.right_products, self.pairs):
-            if len(table) > _TABLE_CAP:
-                table.clear()
+        """End an nf_mul call: clear the table past _TABLE_CAP entries."""
+        if len(self.pairs) > _TABLE_CAP:
+            self.pairs.clear()
 
     def unit(self, a, b):
         """Scalar u with g_a g_b = u * g_b g_a, as Presentation.commutation_unit."""
@@ -327,18 +320,19 @@ class _Engine:
         return normal_scalar(self.unit, k1, k2, self.params, s1, s2)
 
     def product(self, k1, k2):
-        """k1 * k2 at coefficient one as (key, coefficient) pairs: k1 is
-        multiplied on the right by the letters of k2, lowest first, and
-        the invertible block of k2 joins last.
+        """k1 * k2 at coefficient one as a term dict: k1 is multiplied on
+        the right by the letters of k2, lowest first, and the invertible
+        block of k2 joins last.
 
         The walk starts from the longest proper prefix P of k2, the
         monomial of its first letters, whose pair (k1, P) is in ``pairs``:
         None reads as the key k1 + P at coefficient one, sigma as that key
-        at sigma, and a stored product as its terms.  Each proper prefix
-        the walk then passes whose pair crosses a tail is stored under
-        (k1, P) as pair_entry would store it, while the prefixes this
-        build stores hold at most _PREFIX_TERMS terms in all; a walk cut
-        short keeps only the prefixes it finished."""
+        at sigma, and a stored product, a right product too, as itself,
+        which no step changes.  Each proper prefix the walk then passes
+        whose pair crosses a tail is stored under (k1, P) as pair_entry
+        would store it, while the prefixes this build stores hold at most
+        _PREFIX_TERMS terms in all; a walk cut short keeps only the
+        prefixes it finished."""
         n, pairs, one, tailed = self.n, self.pairs, self.one, self.tailed_after
         word, kvec = _word(k2, n), k2[n:]
         prefix, stop = list(k2[:n] + self.zero_k), len(word)
@@ -352,7 +346,7 @@ class _Engine:
                 entry, key = pairs.get((k1, key)), tuple(map(add, k1, key))
                 terms = ({key: one} if entry is None else
                          {key: one.times_unit(entry)} if entry.__class__ is UnitMonomial
-                         else dict(entry))
+                         else entry)
                 break
             start -= 1
             prefix[word[start]] -= 1
@@ -364,24 +358,12 @@ class _Engine:
             crossing = crossing or any(k1[c] for c in tailed[a])
             if crossing and i < stop and stored + len(terms) <= _PREFIX_TERMS:
                 stored += len(terms)
-                pairs[k1, tuple(prefix)] = self.entry(k1, word[:i + 1], terms)
-        if any(kvec):
-            return tuple(self.times_kblock(terms, kvec).items())
-        return self.entry(k1, word, terms)
-
-    def entry(self, k1, word, terms):
-        """The built product k1 * (the letters of word) as a ``pairs``
-        entry: where word is one letter g_a and k1 has no invertible
-        letter, the right product k1 * g_a itself, and the pairs are those
-        of its entry."""
-        if len(word) == 1 and not any(k1[self.n:]):
-            return self.right_products[k1, word[0]].items()
-        return tuple(terms.items())
+                pairs[k1, tuple(prefix)] = terms
+        return self.times_kblock(terms, kvec) if any(kvec) else terms
 
     def times_kblock(self, terms, kvec):
         """Right product of a term map with the ordered invertible block k^kvec."""
-        n = self.n
-        right = (0,) * n + kvec
+        n, right = self.n, (0,) * self.n + kvec
         support_r = [n + t for t, e in enumerate(kvec) if e]
         out = {}
         for key, coef in terms.items():
@@ -406,7 +388,7 @@ class _Engine:
                 if not stack:
                     return done.value
                 self.pending.discard(need)
-                self.right_products[need] = value = done.value
+                self.pairs[need[0], self.letters[need[1]]] = value = done.value
                 continue
             self._start_fill(request)
             stack.append((request, self._fill(*request)))
@@ -441,8 +423,9 @@ class _Engine:
         A term whose letters after g_a all q-commute with it, being
         invertible or polynomial with no tail against g_a, moves g_a into
         place by one scalar; the rest move only the invertible block and
-        take M * g_a from the table."""
+        take M * g_a from the table, under (M, e_a)."""
         n, cu, tailed, one = self.n, self.cu, self.tailed_after[a], self.one
+        pairs, letter = self.pairs, self.letters[a]
         out = {}
         for key, coef in terms.items():
             if not any(map(key.__getitem__, tailed)):
@@ -459,7 +442,7 @@ class _Engine:
                 coef = coef.times_unit(
                     unit_product((cu[n + t][a], e) for t, e in enumerate(kvec) if e))
             mono = key[:n] + self.zero_k if shifted else key
-            entry = self.right_products.get((mono, a))
+            entry = pairs.get((mono, letter))
             if entry is None:
                 entry = yield (mono, a)
             if shifted:
@@ -511,12 +494,12 @@ def nf_mul(left, right):
     times one scalar, sigma(k1, k2), applied as a shift of the
     coefficient's exponents (``times_unit``); a pair already in order
     needs no scalar.  A pair that crosses a tail holds its product at
-    coefficient one, built on its first miss through the engine's table
-    of right products M * g_a from the longest stored prefix of k2 (see
-    _Engine.product), and each of its terms is taken times the product
-    of the two coefficients.
+    coefficient one, built on its first miss through the right products
+    M * g_a from the longest stored prefix of k2 (see _Engine.product),
+    and each of its terms is taken times the product of the two
+    coefficients.
 
-    The call reads and extends both tables, so it fills only the entries
+    The call reads and extends the table, so it fills only the entries
     no earlier call has, and DEFAULT_BUDGET caps its new right products.
     Exceeding the cap, or a fill that needs its own result, raises
     RewriteBudgetError; a pair whose product was cut short that way, or
@@ -542,7 +525,7 @@ def nf_mul(left, right):
             elif entry.__class__ is UnitMonomial:
                 _accumulate(out, tuple(map(add, k1, k2)), coef.times_unit(entry))
             else:
-                for key, c in entry:
+                for key, c in entry.items():
                     _accumulate(out, key, coef * c)
     engine.cap()
     return NFElement._make(pres, out)
@@ -556,6 +539,8 @@ def tau_apply(pres, i, element, power=1):
     (0-based), ``power`` times; negative powers are allowed."""
     if not 0 <= i < pres.n:
         raise QsolvError("tau index must name a polynomial generator")
+    if element.pres is not pres:
+        pres.zero()._check(element)
     power = _as_exponent(power)
     terms = {}
     for key, coef in element.terms.items():

@@ -14,6 +14,7 @@ from qsolv import (
     NFElement,
     Presentation,
     PresentationError,
+    QsolvError,
     RepeatedRootError,
     UnitMonomial,
     ad_apply,
@@ -81,6 +82,21 @@ def test_loc_element_lift_checks(plane):
         a.lifted(1)
     with pytest.raises(LocalizationError):
         LocElement(plane, 5, plane.gen(1), 0)
+
+
+def test_localized_elements_reject_other_presentations(plane, weyl):
+    # y of weyl1 is no element of the quantum plane, though the widths and
+    # the positions match
+    y = weyl.gen(0)
+    calls = [lambda: LocElement(plane, 0, y), lambda: loc_element(plane, 0, y),
+             lambda: loc_element(plane, 0, LocElement(weyl, 0, y, 1)),
+             lambda: ad_apply(plane, 0, LocElement(weyl, 0, y))]
+    for call in calls:
+        with pytest.raises(QsolvError, match="different presentations"):
+            call()
+    # an equal presentation is the same algebra
+    same = loc_element(plane, 0, LocElement(quantum_plane(), 0, quantum_plane().gen(1)))
+    assert same == loc_element(plane, 0, plane.gen(1))
 
 
 @pytest.mark.parametrize("dpow, bad", [(1.5, "1.5"), (0.5, "0.5")])

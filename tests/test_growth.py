@@ -15,6 +15,7 @@ import pytest
 from qsolv import LaurentPoly, UnitMonomial, nf_mul, quantum_matrices, quantum_weyl
 from qsolv import strat
 from qsolv.normalform import _Engine
+from test_mul_table import right_products
 
 # the constant of the n log n bounds, with log to base 2
 C = 4
@@ -91,12 +92,14 @@ def test_two_sided_power_fills_track_the_answer(monkeypatch, k):
 @pytest.mark.parametrize("n", [16, 32])
 def test_power_product_pair_terms_track_the_answer(n):
     # weyl1 x^n * y^n keeps its product (n + 1 terms) and the product by
-    # the longest prefix y^(n-1) (n terms) in the pair table; keeping the
-    # product by every prefix y^j its walk passes held about n^2 / 2
+    # the longest prefix y^(n-1) (n terms) in the pair table, beside the
+    # right products its fills make; keeping the product by every prefix
+    # y^j its walk passes held about n^2 / 2
     w = quantum_weyl(1)
     product = nf_mul(w.gen_power(1, n), w.gen_power(0, n))
     held = sum(len(entry) for entry in w._engine.pairs.values()
                if entry is not None and not isinstance(entry, UnitMonomial))
+    held -= sum(len(entry) for entry in right_products(w).values())
     assert held <= 2 * len(product.terms)
 
 

@@ -1,5 +1,10 @@
-"""The engine behind nf_mul and its two product tables, right products
-and monomial pairs, against the word rewriter and the reference scalars.
+"""The engine behind nf_mul and its one product table, against the word
+rewriter and the reference scalars.
+
+The table is keyed by pairs of monomials.  A right product M * g_a, an
+ordered monomial free of invertible letters times one polynomial letter,
+is the entry of the pair (M, e_a), e_a the exponent key of g_a, and
+``right_products`` picks those entries out.
 
 reference_rewriter.py keeps the word rewriter that nf_mul replaced.  The
 two must give the same normal form term for term, also on
@@ -43,8 +48,20 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def engine(p):
     """The product engine of p, made if p has none yet; its tables are
-    ``right_products``, ``pairs`` and ``tails``."""
+    ``pairs`` and ``tails``."""
     return _engine_of(p)
+
+
+def right_products(p):
+    """The right products M * g_a in the table of p's engine, keyed by
+    (M, a): the entries under (M, e_a) with M free of invertible letters
+    and a letter of M crossing a tail against g_a."""
+    n, out = p.n, {}
+    for (mono, key), entry in engine(p).pairs.items():
+        if (not any(mono[n:]) and not any(key[n:]) and sum(key) == 1
+                and crosses_a_tail(p, mono, key)):
+            out[mono, key.index(1)] = entry
+    return out
 
 
 def plane_torus():
@@ -176,11 +193,9 @@ def record_fills(monkeypatch):
 
 
 def clear_tables(p):
-    """Empty both product tables of p's engine: no right product and no
+    """Empty the product table of p's engine: no right product and no
     monomial pair, whose product would stand in for its fills."""
-    tables = engine(p)
-    tables.right_products.clear()
-    tables.pairs.clear()
+    engine(p).pairs.clear()
 
 
 def pair_entries(left, right):
@@ -233,8 +248,11 @@ def test_weyl_power_fill_counts(monkeypatch, k, terms, fills):
     product, count, short = fill_count(monkeypatch, w.gen_power(1, k), w.gen_power(0, k))
     assert count == fills
     # the walk cut one fill short stored its first prefixes y and y^2, whose
-    # 2 and 3 terms leave too few of _PREFIX_TERMS for the 4 of y^3
-    assert len(engine(w).pairs) == 2
+    # 2 and 3 terms leave too few of _PREFIX_TERMS for the 4 of y^3; the
+    # entry of y is the right product x^k * y
+    xk = w.gen_power(1, k).terms.keys()
+    assert [k2 for k1, k2 in engine(w).pairs if k1 in xk] == [(1, 0), (2, 0)]
+    assert len(engine(w).pairs) - len(right_products(w)) == 1
     assert len(product.terms) == terms
     assert product == nf_mul(x, nf_mul(w.gen_power(1, k - 1), w.gen_power(0, k)))
     assert short == (f"rewriting exceeded {fills - 1} table fills at x*y; "
@@ -414,7 +432,7 @@ def test_tails_that_fail_wf_raise_at_once():
 def assert_entries_finished(p):
     """Every entry of the presentation's shared table is the whole normal
     form of its right product M * g_a."""
-    for (mono, a), entry in engine(p).right_products.items():
+    for (mono, a), entry in right_products(p).items():
         assert_same_normal_form(NFElement(p, entry), reference_mul(p.monomial(mono), p.gen(a)))
 
 
@@ -440,14 +458,14 @@ def test_interrupted_call_leaves_only_finished_entries(monkeypatch):
     # the fills still open when the call stopped left nothing behind, nor
     # did the pair whose product they were building; the prefix y of y^5
     # that its walk finished is a whole product
-    assert 0 < len(engine(w).right_products) < 9
+    assert 0 < len(right_products(w)) < 9
     assert not pair_entries(x5, y5)
     assert_entries_finished(w)
     assert assert_pair_entries(w, term_pairs([(x5, y5)])) == 1
     # the call made again walks on from that prefix and stores y^2 and y^3
     # (3 and 4 terms), which fill _PREFIX_TERMS but for one
     assert_same_normal_form(nf_mul(x5, y5), reference_mul(x5, y5))
-    assert len(engine(w).right_products) == 25
+    assert len(right_products(w)) == 25
     assert_entries_finished(w)
     assert assert_pair_entries(w, term_pairs([(x5, y5)])) == 3
 
@@ -458,7 +476,7 @@ def test_fill_that_needs_itself_leaves_no_marker():
     for _ in range(2):
         with pytest.raises(RewriteBudgetError, match="not well-founded"):
             nf_mul(bc, a)
-        assert all(isinstance(entry, dict) for entry in engine(p).right_products.values())
+        assert all(isinstance(entry, dict) for entry in right_products(p).values())
         assert not pair_entries(bc, a)
 
 
@@ -486,27 +504,29 @@ def proper_prefixes(p, k2):
 def assert_pair_entries(p, looked_up=None, mul=reference_mul):
     """Every entry of the presentation's pair table says how its two
     monomials multiply: None in order, sigma where no crossing has a
-    tail, and where one has, the product at coefficient one as (key,
-    coefficient) pairs, equal to ``mul`` of the two monomials.  Given the
-    pairs nf_mul looked up, each other entry is a stored prefix: (k1, P)
-    with P a proper prefix of some k2 looked up with k1, whose pair
-    crosses a tail.  Returns the number of stored prefixes."""
-    prefixes = 0
+    tail, and where one has, the product at coefficient one as a term
+    dict, equal to ``mul`` of the two monomials.  Given the pairs nf_mul
+    looked up, each other entry is a stored prefix, (k1, P) with P a
+    proper prefix of some k2 looked up with k1, whose pair crosses a
+    tail, or a right product that a fill stored.  Returns the number of
+    stored prefixes."""
+    prefixes, rights = 0, right_products(p)
     for (k1, k2), entry in engine(p).pairs.items():
         s1, s2 = support(k1), support(k2)
         want = mul(p.monomial(k1), p.monomial(k2))
         if looked_up is not None and (k1, k2) not in looked_up:
-            assert any(k2 in proper_prefixes(p, right)
-                       for left, right in looked_up if left == k1), (k1, k2)
             assert crosses_a_tail(p, k1, k2), (k1, k2)
-            prefixes += 1
+            if any(k2 in proper_prefixes(p, right)
+                   for left, right in looked_up if left == k1):
+                prefixes += 1
+            else:
+                assert len(s2) == 1 and k2[s2[0]] == 1 and (k1, s2[0]) in rights, (k1, k2)
         assert (entry is None) == (not s1 or not s2 or s1[-1] <= s2[0]), (k1, k2)
         tailed = crosses_a_tail(p, k1, k2)
         assert isinstance(entry, (type(None), UnitMonomial)) != tailed, (k1, k2)
         if tailed:
-            stored = dict(entry)
-            assert len(stored) == len(list(entry)), (k1, k2)
-            assert_same_normal_form(NFElement(p, stored), want)
+            assert entry.__class__ is dict, (k1, k2)
+            assert_same_normal_form(NFElement(p, entry), want)
             continue
         sigma = reference_normal_scalar(p.commutation_unit, k1, k2, p.params)
         assert sigma.is_one() if entry is None else entry == sigma
@@ -527,10 +547,10 @@ def test_interleaved_products_match_word_rewriter():
         assert_same_normal_form(nf_mul(a, b), reference_mul(a, b))
         products[side].append((a, b))
     for p, multiplied in zip(pair, products):
-        assert engine(p).right_products
+        assert right_products(p)
         assert_entries_finished(p)
         kinds = {type(entry) for entry in engine(p).pairs.values()}
-        assert {type(None), UnitMonomial, tuple} <= kinds
+        assert {type(None), UnitMonomial, dict} <= kinds
         assert assert_pair_entries(p, term_pairs(multiplied)) > 0
 
 
@@ -550,7 +570,7 @@ def test_repeated_product_reads_the_stored_pairs(monkeypatch, build):
             again = nf_mul(a, b)
         assert calls == []
         assert_same_normal_form(again, first)
-    assert any(isinstance(entry, tuple) for entry in engine(p).pairs.values())
+    assert any(isinstance(entry, dict) for entry in engine(p).pairs.values())
 
 
 # (family, left monomial as generator powers, right letter): the left
@@ -667,21 +687,21 @@ def test_warm_tables_give_the_cold_products(p):
 
 
 def test_table_cap_bounds_the_shared_entries(monkeypatch):
-    monkeypatch.setattr(normalform, "_TABLE_CAP", 8)
+    monkeypatch.setattr(normalform, "_TABLE_CAP", 16)
     w = quantum_weyl(1)
     held, pairs = [], []
     for i, j in itertools.product(range(1, 6), repeat=2):
         left, right = w.gen_power(1, i), w.gen_power(0, j)
         assert_same_normal_form(nf_mul(left, right), reference_mul(left, right))
-        held.append(len(engine(w).right_products))
+        held.append(len(right_products(w)))
         pairs.append(len(engine(w).pairs))
     # kept while under the cap, cleared by a call that leaves more; each
-    # call adds its own pair, and one on a cleared table also the first
-    # prefixes y, y^2, ... its walk passes, up to _PREFIX_TERMS terms:
-    # three for x^2 * y^5 (2 + 3 + 3 terms), two for x^5 * y^5 (2 + 3)
-    assert max(held) == 8 and held.count(0) > 1
-    assert pairs == [1, 2, 3, 4, 5, 6, 7, 8, 0] + [4, 5, 6, 7, 8, 0] + \
-        [1, 2, 3, 4, 5, 6, 7, 8, 0] + [3]
+    # call adds its own pair, the right products its fills make and the
+    # prefixes its walk stores, so a call on a cleared table with i > 2
+    # already leaves more than 16 entries
+    assert max(held) == 12 and held.count(0) > 1
+    assert pairs == [1, 3, 5, 7, 9, 10, 12, 14, 16, 0] + [3, 7, 11, 15, 0] + \
+        [4, 9, 14, 0, 0] + [5, 11, 0, 0, 0]
 
 
 def test_presentations_are_freed_without_the_cyclic_collector():
@@ -695,7 +715,7 @@ def test_presentations_are_freed_without_the_cyclic_collector():
         for p in (quantum_weyl(1), quantum_matrices(3)):
             gens = [p.gen(i) for i in range(p.n)]
             products = [nf_mul(a, b) for a in gens for b in gens]
-            assert engine(p).right_products and engine(p).pairs
+            assert right_products(p) and engine(p).pairs
             del p, gens, products
         assert gc.collect() == 0
     finally:
@@ -707,7 +727,7 @@ def test_pickles_leave_the_memo_tables_behind():
     size = len(pickle.dumps(w))
     products = [nf_mul(w.gen_power(1, k), w.gen_power(0, k)) for k in range(1, 9)]
     tables = engine(w)
-    assert tables.right_products and tables.tails and tables.pairs
+    assert right_products(w) and tables.tails and tables.pairs
     assert len(pickle.dumps(w)) == size
     dup = pickle.loads(pickle.dumps(w))
     assert dup._engine is None

@@ -7,10 +7,12 @@ from fractions import Fraction
 import pytest
 
 from qsolv import (
+    FracElem,
     LaurentPoly,
     NFElement,
     Presentation,
     PresentationError,
+    QsolvError,
     RewriteBudgetError,
     UnitMonomial,
     delta_apply,
@@ -21,6 +23,7 @@ from qsolv import (
     quantum_matrices,
     quantum_plane,
     quantum_weyl,
+    rank2,
     skew_action,
     tau_apply,
 )
@@ -116,6 +119,39 @@ def test_tau_apply(weyl):
     assert tau_apply(weyl, 0, x, power=-1) == x.scale(LaurentPoly.var(weyl.params, "c"))
 
 
+def test_skew_actions_reject_elements_of_other_presentations():
+    # y of rank2(3) is no element of the quantum plane, though the widths
+    # and the positions match
+    plane, y = quantum_plane(), rank2(3).gen(1)
+    calls = [lambda: tau_apply(plane, 0, y), lambda: skew_action(plane, 0, "tau", y),
+             lambda: q_leibniz_expand(plane, 0, 0, y)]
+    for call in calls:
+        with pytest.raises(QsolvError, match="different presentations"):
+            call()
+    # an equal presentation is the same algebra
+    same = quantum_plane().gen(1)
+    assert tau_apply(plane, 0, same) == tau_apply(plane, 0, plane.gen(1))
+
+
+@pytest.mark.parametrize("build", [
+    lambda p, c: p.element({(1, 0): c}),
+    lambda p, c: p.scalar(c),
+    lambda p, c: p.monomial((0, 1), c),
+    lambda p, c: NFElement(p, {(1, 1): c}),
+], ids=["element", "scalar", "monomial", "NFElement"])
+def test_coefficients_over_other_parameters_are_rejected(weyl, build):
+    # weyl1's only parameter is c: a coefficient in t, or in (c, t), would
+    # print as if it lay in the algebra
+    t = LaurentPoly.var(("t",), "t")
+    for coef in (t, LaurentPoly.var(("c", "t"), "c"), FracElem(t),
+                 UnitMonomial.var(("t",), "t"), LaurentPoly.zero(("t",))):
+        with pytest.raises(ValueError, match="coefficient parameters do not match"):
+            build(weyl, coef)
+    c = LaurentPoly.var(weyl.params, "c")
+    for coef in (c, FracElem(c, c + 1)):
+        assert list(build(weyl, coef).terms.values()) == [coef]
+
+
 def test_delta_apply(weyl):
     x = weyl.gen(1)
     cinv = LaurentPoly.var(weyl.params, "c", -1)
@@ -196,7 +232,6 @@ def test_leibniz_rejects_early_letters(weyl):
 def test_budget_exhaustion(weyl, monkeypatch):
     big = weyl.monomial((4, 4))
     monkeypatch.setattr(normalform, "DEFAULT_BUDGET", 3)
-    engine(weyl).right_products.clear()
     engine(weyl).pairs.clear()
     with pytest.raises(RewriteBudgetError, match="exceeded 3 table fills"):
         nf_mul(big, big)

@@ -44,12 +44,12 @@ commute y z : r^-1
 """
 
 
-def random_poly(rng, width, max_terms=4):
+def random_poly(rng, params, max_terms=4):
     terms = {
-        tuple(rng.randint(-3, 3) for _ in range(width)): rng.choice(COEFS)
+        tuple(rng.randint(-3, 3) for _ in params): rng.choice(COEFS)
         for _ in range(rng.randint(0, max_terms))
     }
-    return LaurentPoly(NAMES[:width], terms)
+    return LaurentPoly(params, terms)
 
 
 def special_polys(width):
@@ -66,7 +66,7 @@ def special_polys(width):
 @pytest.mark.parametrize("width", range(4))
 def test_laurent_poly(width):
     rng = random.Random(width)
-    polys = [*special_polys(width), *(random_poly(rng, width) for _ in range(300))]
+    polys = [*special_polys(width), *(random_poly(rng, NAMES[:width]) for _ in range(300))]
     for poly in polys:
         assert str(poly) == ref.laurent_str(poly)
 
@@ -87,12 +87,12 @@ def test_unit_monomial(width):
 
 
 def random_coef(rng, params):
-    """A LaurentPoly, or a FracElem whose denominator is often not 1."""
-    width = len(params)
-    num = random_poly(rng, width, 3)
+    """A LaurentPoly over params, or a FracElem whose denominator is
+    often not 1."""
+    num = random_poly(rng, params, 3)
     if rng.random() < 0.5:
         return num
-    den = random_poly(rng, width, 2)
+    den = random_poly(rng, params, 2)
     if den.is_zero():
         den = LaurentPoly.one(num.params)
     return FracElem(num, den)
